@@ -1,5 +1,6 @@
 #include "graph/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -145,10 +146,12 @@ Status ValidateOffsets(std::span<const size_t> offsets, size_t num_arcs,
 
 Status ValidateEndpoints(std::span<const NodeId> endpoints, size_t num_nodes,
                          const char* what) {
-  for (NodeId v : endpoints) {
-    if (v >= num_nodes) {
-      return Status::IoError(std::string(what) + " endpoint out of range");
-    }
+  // A branch-free max reduction vectorizes; a per-arc early-exit branch
+  // does not, and on the mapped cold start this is the hottest loop.
+  NodeId max_id = 0;
+  for (NodeId v : endpoints) max_id = std::max(max_id, v);
+  if (!endpoints.empty() && max_id >= num_nodes) {
+    return Status::IoError(std::string(what) + " endpoint out of range");
   }
   return Status::OK();
 }

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -91,10 +90,10 @@ struct ServiceOptions {
   // snapshot, so N service processes on one host share one physical copy
   // of the columns (`rtr_cli serve --mmap`).
   MapMode map_mode = MapMode::kAuto;
-  // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
-  // priority queue ordered by predicted cost, batched worker drains,
-  // deadline shedding, adaptive epsilon. Disabled by default — the FIFO
-  // deque path is preserved byte for byte.
+  // Admission policy of the one priority queue (serve/scheduler.h,
+  // DESIGN.md §11). Enabled: keys by predicted cost, batched worker drains,
+  // deadline shedding, adaptive epsilon. Disabled (the default): FIFO —
+  // arrival-ordered keys, one query per drain, no shedding or widening.
   SchedulerOptions scheduler;
 };
 
@@ -104,7 +103,7 @@ struct ServeRequest {
   // Optional completion budget, measured from admission. With the
   // scheduler on, admission rejects (kUnavailable, counted in
   // shed_predicted) requests whose predicted completion exceeds this; 0
-  // means no deadline. The FIFO path ignores it.
+  // means no deadline. Ignored with the scheduler off.
   double deadline_millis = 0.0;
 };
 
@@ -118,15 +117,16 @@ struct ServeResponse {
   // Graph generation the query was answered on (graph/store.h; 0 for
   // static graphs).
   uint64_t generation = 0;
-  // Time from admission to worker pickup, and to completion.
+  // Time from admission until the worker starts this query, less the
+  // batch's generation pin, and to completion.
   double queue_millis = 0.0;
   double total_millis = 0.0;
   // Epsilon the query actually ran (and cached) under. Equals the request
   // epsilon unless the scheduler widened it under load — clients can tell
   // precision was degraded instead of availability.
   double effective_epsilon = 0.0;
-  // The cost model's admission-time latency estimate (scheduler mode; 0 on
-  // the FIFO path).
+  // The cost model's admission-time latency estimate (scheduler on; 0 with
+  // the scheduler off).
   double predicted_millis = 0.0;
 };
 
@@ -135,7 +135,7 @@ struct ServiceStats {
   uint64_t accepted = 0;
   uint64_t rejected = 0;   // every rejection: overflow + shed + stopping
   // Rejection reasons, reported separately so overload diagnosis doesn't
-  // have to infer them: queue-capacity overflow (either admission mode)
+  // have to infer them: queue-capacity overflow (scheduler on or off)
   // vs the scheduler's deadline shed (predicted completion past the
   // request deadline). rejected - shed_overflow - shed_predicted =
   // requests refused because the service was stopping.
@@ -169,7 +169,7 @@ struct ServiceStats {
   double p99_millis = 0.0;
   // Queue wait split by predicted-cost class (scheduler.h), so "cheap
   // queries stopped waiting behind heavy ones" is a measurement, not an
-  // inference. Populated in both admission modes.
+  // inference. Populated with the scheduler on and off.
   struct ClassQueueWait {
     uint64_t count = 0;
     double mean_millis = 0.0;
@@ -187,7 +187,9 @@ struct ServiceStats {
 // callback exactly once. The destructor calls Shutdown.
 //
 // Ownership: every constructor shares ownership of its graph source via
-// shared_ptr — there is no "must outlive the service" contract.
+// shared_ptr — there is no "must outlive the service" contract. Every
+// constructor delegates to one private shape: a GraphStore plus an optional
+// cluster.
 class QueryService {
  public:
   // Serves a fixed graph from the local engine (wrapped in an internal
@@ -198,7 +200,9 @@ class QueryService {
   // GraphStore::Apply/Publish swap new graph versions in mid-stream.
   QueryService(std::shared_ptr<GraphStore> store,
                const ServiceOptions& options);
-  // Serves a fixed cluster through the distributed AP/GP replay.
+  // Serves a fixed cluster through the distributed AP/GP replay (its graph
+  // wrapped in an internal single-generation GraphStore that never
+  // advances, so the cluster is never restriped).
   QueryService(std::shared_ptr<const dist::Cluster> cluster,
                const ServiceOptions& options);
   // Live distributed serving: queries pin the store's current generation,
@@ -222,9 +226,6 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   Backend backend() const { return backend_; }
-  const ServiceOptions& options() const { return options_; }
-  // The live store, or nullptr for the fixed-cluster mode.
-  const std::shared_ptr<GraphStore>& store() const { return store_; }
 
   // Spawns the worker pool. Fails with kFailedPrecondition if already
   // started (including after Shutdown — services are not restartable).
@@ -248,7 +249,6 @@ class QueryService {
 
   ServiceStats stats() const;
   const LatencyHistogram& latencies() const { return latencies_; }
-  const ResultCache& cache() const { return cache_; }
 
   // Runtime switch for per-query phase tracing; affects queries picked up
   // after the call. When on, every served query feeds the per-phase
@@ -265,13 +265,20 @@ class QueryService {
   }
 
   // JSON dumps (TraceRecorder::ToJson) of the slowest traced queries,
-  // slowest first, at most options().trace_keep entries.
+  // slowest first, at most ServiceOptions::trace_keep entries.
   std::vector<std::string> SlowestTraces() const;
 
   // Read-only handle to the online cost model (tests, benches).
   const QueryCostModel& cost_model() const { return cost_model_; }
 
  private:
+  // The one non-delegating constructor. `cluster` is null for the local
+  // backend; otherwise it is the cluster striped off `store`'s current
+  // generation.
+  QueryService(std::shared_ptr<GraphStore> store,
+               std::shared_ptr<const dist::Cluster> cluster,
+               const ServiceOptions& options);
+
   struct Task {
     ServeRequest request;
     DoneCallback done;
@@ -283,38 +290,31 @@ class QueryService {
     CostClass cost_class = CostClass::kModerate;
   };
 
-  // Each worker owns one core::QueryWorkspace (the per-query arena of
-  // DESIGN.md §7) for its whole lifetime, so steady-state cache misses run
-  // the engine without O(num_nodes) allocation or zeroing.
+  // Drains batches from queue_ (one task each with the scheduler off),
+  // pinning the generation once per batch. Each worker owns one
+  // core::QueryWorkspace (the per-query arena of DESIGN.md §7) for its
+  // whole lifetime, so steady-state cache misses run the engine without
+  // O(num_nodes) allocation or zeroing.
   void WorkerLoop();
-  // Scheduler-mode worker loop: drains cost-ordered batches from
-  // sched_queue_, pinning the generation once per batch.
-  void SchedWorkerLoop();
-  // Runs one scheduled task on an already-pinned generation. pin_millis is
-  // the batch's (amortized) pin duration, attributed to each traced query.
-  void RunScheduledTask(Task& task, const PinnedGraph& pinned,
-                        const std::shared_ptr<const dist::Cluster>& cluster,
-                        double pin_millis, core::QueryWorkspace* workspace,
-                        obs::TraceRecorder* trace);
+  // Runs one picked-up task on an already-pinned generation. pin_millis is
+  // the batch's pin duration, attributed to each traced query; the task's
+  // queue wait ends where that pin started.
+  void RunTask(Task& task, const PinnedGraph& pinned,
+               const dist::Cluster* cluster, double pin_millis,
+               core::QueryWorkspace* workspace, obs::TraceRecorder* trace);
   // Cache lookup + engine dispatch against a pre-pinned generation, with
   // the caller's (possibly widened) params. Sets *engine_millis to the
   // measured engine time, or leaves it negative on a cache hit.
-  void ExecutePinned(const Query& query, const core::TopKParams& params,
-                     const PinnedGraph& pinned, const dist::Cluster* cluster,
-                     ServeResponse* response, core::QueryWorkspace* workspace,
-                     double* engine_millis);
-  // The currently published graph, for admission-time feature extraction
-  // (degree lookups). Never blocks on a restripe.
-  std::shared_ptr<const Graph> AdmissionGraph();
+  void Execute(const Query& query, const core::TopKParams& params,
+               const PinnedGraph& pinned, const dist::Cluster* cluster,
+               ServeResponse* response, core::QueryWorkspace* workspace,
+               double* engine_millis);
   // Registers this service's series with the default metrics registry;
-  // called once from every non-delegating constructor.
+  // called once from the constructor.
   void RegisterMetrics();
   // Folds one traced query into the per-phase histograms and the
   // slowest-trace ring.
   void RecordTrace(const obs::TraceRecorder& trace, double total_millis);
-  // Cache lookup + engine dispatch; fills everything but the timing fields.
-  void Execute(const ServeRequest& request, ServeResponse* response,
-               core::QueryWorkspace* workspace);
   // Resolves the graph generation (and, for kDistributed, the cluster)
   // this query runs on. In dist-live mode this is where a new generation's
   // cluster gets striped.
@@ -328,14 +328,13 @@ class QueryService {
                    core::TopKResult* topk,
                    core::QueryWorkspace* workspace) const;
 
-  // Graph source. store_ is non-null in every mode except dist-static
-  // (fixed cluster); cluster_ is the fixed cluster in dist-static mode and
-  // the most recently striped generation's cluster in dist-live mode
-  // (guarded by cluster_mu_ there, immutable otherwise).
+  // Graph source, never null. For kDistributed, cluster_ is the most
+  // recently striped generation's cluster (guarded by cluster_mu_); a
+  // fixed cluster's private store never advances, so it is never
+  // restriped.
   std::shared_ptr<GraphStore> store_;
   std::shared_ptr<const dist::Cluster> cluster_;
   std::mutex cluster_mu_;
-  int num_gps_ = 0;  // > 0 iff dist-live
   Backend backend_;
   ServiceOptions options_;
   ResultCache cache_;
@@ -348,16 +347,14 @@ class QueryService {
   // Held for the whole of Shutdown; see the comment there.
   std::mutex shutdown_mu_;
   std::condition_variable queue_cv_;
-  // Exactly one of these holds queued work: the FIFO deque (scheduler
-  // off — the original admission path, untouched) or the cost-ordered
-  // priority queue (scheduler on). Both under mu_.
-  std::deque<Task> queue_;
-  AdmissionQueue<Task> sched_queue_;
+  // Admitted work, keyed by predicted cost (scheduler on) or arrival time
+  // (scheduler off). Under mu_.
+  AdmissionQueue<Task> queue_;
   // Decayed mean of admission-time predictions; anchors the
   // cheap/moderate/heavy class split. Under mu_.
   double mean_predicted_millis_ = 0.0;
-  // Common arrival clock for the static priority keys (scheduler.h);
-  // started at construction, never restarted.
+  // Common arrival clock for the priority keys (scheduler.h); started at
+  // construction, never restarted.
   WallTimer arrival_clock_;
   QueryCostModel cost_model_;
   std::vector<std::thread> workers_;
@@ -376,8 +373,8 @@ class QueryService {
   obs::Counter failed_;
   obs::Counter slo_violations_;
   // Scheduler series (rtr_sched_*): split rejection reasons, widened-
-  // epsilon queries, batch drains. shed_overflow_ also counts FIFO-mode
-  // queue-full rejections so the reason split covers both paths.
+  // epsilon queries, batch drains. shed_overflow_ counts queue-full
+  // rejections with the scheduler off too.
   obs::Counter shed_overflow_;
   obs::Counter shed_predicted_;
   obs::Counter eps_widened_;

@@ -40,8 +40,7 @@ double EffectiveEpsilon(double base_epsilon, const SchedulerOptions& options,
   if (options.eps_max <= base_epsilon || queue_capacity == 0) {
     return base_epsilon;
   }
-  const double start = options.queue_watermark *
-                       static_cast<double>(queue_capacity);
+  const double start = kQueueWatermark * static_cast<double>(queue_capacity);
   const double depth = static_cast<double>(queue_depth);
   if (depth <= start) return base_epsilon;
   const double span = static_cast<double>(queue_capacity) - start;

@@ -4,8 +4,10 @@
 // Cost-model admission scheduling for the serve path (DESIGN.md §11).
 //
 // This header holds the scheduling *policy* — pure, allocation-light,
-// deterministically testable pieces — and the priority admission queue that
-// replaces QueryService's FIFO deque when SchedulerOptions::enabled is set:
+// deterministically testable pieces — and QueryService's one priority
+// admission queue. With SchedulerOptions::enabled set, the pieces below
+// drive it; unset, the same queue runs FIFO (arrival-time keys, one query
+// per drain, no deadline shedding, no epsilon widening):
 //
 //  * PriorityKey: shortest-predicted-job-first with an age-based
 //    anti-starvation boost. The trick is that the key is computed once at
@@ -32,7 +34,7 @@
 //  * AdmissionQueue<TaskT>: a min-key binary heap with FIFO sequence
 //    tie-break and a running sum of queued predicted cost (the backlog
 //    input to deadline shedding). Externally synchronized — QueryService
-//    operates it under the same mutex that guarded the FIFO deque.
+//    operates it under its admission mutex.
 
 #include <algorithm>
 #include <cstddef>
@@ -43,22 +45,23 @@
 namespace rtr::serve {
 
 struct SchedulerOptions {
-  // Master switch. Off preserves QueryService's FIFO admission path byte
-  // for byte — every pre-scheduler test pins the old behavior.
+  // Policy switch. Off, the admission queue is FIFO and batch_size and
+  // eps_max are ignored.
   bool enabled = false;
   // Most queued requests one worker drains into a single workspace-warm
   // batch (one generation pin + cache-evict check amortized across them).
   size_t batch_size = 8;
-  // Predicted milliseconds forgiven per millisecond a request has waited.
-  // 1.0 ≈ "a 5ms head start beats a 5ms cost advantage"; 0 is pure SJF
-  // (starvation possible — not recommended outside experiments).
-  double age_boost = 1.0;
   // Upper edge of the adaptive-epsilon band. <= the request's own epsilon
   // disables widening (the default 0 therefore turns the feature off).
   double eps_max = 0.0;
-  // Fraction of queue capacity where epsilon starts widening.
-  double queue_watermark = 0.5;
 };
+
+// Predicted milliseconds forgiven per millisecond a request has waited:
+// "a 5ms head start beats a 5ms cost advantage" (0 would be pure SJF, with
+// starvation possible).
+inline constexpr double kAgeBoost = 1.0;
+// Fraction of queue capacity where epsilon starts widening.
+inline constexpr double kQueueWatermark = 0.5;
 
 // Priority classes derived from predicted cost, used to split queue-wait
 // reporting so degradation is observable per class, not inferred from an

@@ -96,6 +96,21 @@ check "missing --replay file exits 2" 2 $?
 printf 'not_a_node\n' > "$TMP/bad.rtrq"
 "$CLI" serve --replay "$TMP/bad.rtrq" > /dev/null 2>&1
 check "malformed replay record exits 2" 2 $?
+# Ids must fit NodeId: no wrap of 2^32 + 3 to node 3, no negative ids.
+printf '4294967299\n' > "$TMP/wide.rtrq"
+"$CLI" serve --replay "$TMP/wide.rtrq" > /dev/null 2> "$TMP/wide.err"
+check "node id past the NodeId range exits 2" 2 $?
+grep -q "wide.rtrq:1:" "$TMP/wide.err"
+check "out-of-range id is reported with file:line" 0 $?
+printf '5\n-1\n' > "$TMP/negative.rtrq"
+"$CLI" serve --replay "$TMP/negative.rtrq" > /dev/null 2> "$TMP/negative.err"
+check "negative node id exits 2" 2 $?
+grep -q "negative.rtrq:2:" "$TMP/negative.err"
+check "negative id is reported with file:line" 0 $?
+# strtoull skips a form feed before the sign; the parser must not.
+printf '\f-18446744073709551615\n' > "$TMP/formfeed.rtrq"
+"$CLI" serve --replay "$TMP/formfeed.rtrq" > /dev/null 2>&1
+check "sign after a leading form feed exits 2" 2 $?
 printf '3 junk\n' > "$TMP/bad_deadline.rtrq"
 "$CLI" serve --replay "$TMP/bad_deadline.rtrq" > /dev/null 2>&1
 check "malformed deadline column exits 2" 2 $?

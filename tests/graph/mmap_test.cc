@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +250,31 @@ TEST(MmapTest, MappedLoadRejectsTextGraphs) {
   std::fputs("not a snapshot\n", f);
   std::fclose(f);
   EXPECT_FALSE(LoadGraphMapped(path).ok());
+}
+
+// The mapped loader skips the payload checksum, so structural validation
+// alone must catch an arc endpoint past the node count, at any position of
+// either endpoint column (vector body and scalar tail alike).
+TEST(MmapTest, MappedLoadRejectsOutOfRangeEndpoints) {
+  const Graph g = RandomGraph(7);
+  const std::string path = WriteSnapshot(g, "mmap_bad_endpoint.rtrsnap");
+  std::ifstream in(path, std::ios::binary);
+  const std::string clean((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const NodeId bad = static_cast<NodeId>(g.num_nodes());
+  for (std::span<const NodeId> column : {g.out_targets(), g.in_sources()}) {
+    const size_t at = clean.find(std::string_view(
+        reinterpret_cast<const char*>(column.data()), column.size_bytes()));
+    ASSERT_NE(at, std::string::npos);
+    for (size_t i : {size_t{0}, column.size() / 2, column.size() - 1}) {
+      std::string bytes = clean;
+      std::memcpy(&bytes[at + i * sizeof(NodeId)], &bad, sizeof(bad));
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+      StatusOr<Graph> loaded = LoadGraphMapped(path);
+      ASSERT_FALSE(loaded.ok()) << "arc " << i;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    }
+  }
 }
 
 TEST(MmapTest, MaterializeOwningDetachesFromTheMapping) {

@@ -655,6 +655,55 @@ TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
   }
 }
 
+// Scheduler mode picks queries up in batches under one generation pin: each
+// traced query's sched_wait span ends where that pin starts, so the wait
+// and the pin are never both counted.
+TEST(QueryServiceTest, ScheduledTracedPhasesSumToAtMostTotalLatency) {
+  const Graph& graph = SharedNet().graph();
+  std::vector<NodeId> stream = MixedQueryStream(graph, 30, 80, 24);
+
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = stream.size();
+  options.enable_cache = true;
+  options.cache_capacity = 64;
+  options.enable_tracing = true;
+  options.scheduler.enabled = true;
+  options.scheduler.batch_size = 4;
+  QueryService service(SharedGraphPtr(), options);
+
+  // Queued before Start, so the workers drain real batches.
+  std::atomic<int> done{0};
+  for (NodeId q : stream) {
+    ASSERT_TRUE(service
+                    .SubmitAsync({{q}, DefaultParams()},
+                                 [&done](const ServeResponse&) { ++done; })
+                    .ok());
+  }
+  ASSERT_TRUE(service.Start().ok());
+  service.Shutdown();
+  ASSERT_EQ(done.load(), static_cast<int>(stream.size()));
+
+  ServiceStats stats = service.stats();
+  EXPECT_GT(stats.batched_queries, stats.batches);
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kSchedWait).Count(),
+            stats.completed);
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kQueueWait).Count(), 0u);
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kGenerationPin).Count(),
+            stats.completed);
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kCacheLookup).Count(),
+            stats.completed);
+
+  double phase_sum = 0.0;
+  for (size_t p = 0; p < obs::kNumPhases; ++p) {
+    phase_sum +=
+        service.phase_latencies(static_cast<obs::Phase>(p)).SumMillis();
+  }
+  EXPECT_GT(phase_sum, 0.0);
+  EXPECT_LE(phase_sum, service.latencies().SumMillis() +
+                           0.05 * static_cast<double>(stats.completed));
+}
+
 TEST(QueryServiceTest, TracingOffRecordsNothing) {
   const Graph& graph = SharedNet().graph();
   std::vector<NodeId> stream = MixedQueryStream(graph, 10, 20, 22);

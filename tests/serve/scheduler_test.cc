@@ -107,7 +107,6 @@ TEST(SchedulerPolicyTest, PredictedCompletionSpreadsBacklogAcrossWorkers) {
 TEST(SchedulerPolicyTest, EffectiveEpsilonRampsQuantizedAboveWatermark) {
   SchedulerOptions options;
   options.eps_max = 0.09;
-  options.queue_watermark = 0.5;
   const double base = 0.01;
   // At or below the watermark: untouched.
   EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 0, 8), base);
@@ -325,7 +324,6 @@ TEST(SchedulerServiceTest, AdaptiveEpsilonStampsResponsesAndKeysCache) {
   options.scheduler.enabled = true;
   options.scheduler.batch_size = 8;
   options.scheduler.eps_max = 0.08;
-  options.scheduler.queue_watermark = 0.5;
   QueryService service(SharedGraphPtr(), options);
 
   // Submit before Start: admission depths are exactly 0..7, so the

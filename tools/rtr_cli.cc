@@ -62,6 +62,7 @@
 // (info|warn|error|off; default warn).
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -744,11 +745,17 @@ int CmdServe(const Flags& flags) {
       char* s = line;
       while (*s == ' ' || *s == '\t') ++s;
       if (*s == '\0' || *s == '\n' || *s == '\r' || *s == '#') continue;
-      char* end = nullptr;
-      unsigned long long node = std::strtoull(s, &end, 10);
-      if (end == s) {
-        std::fprintf(stderr, "%s:%d: expected a node id\n",
-                     replay_path.c_str(), lineno);
+      // strtoull skips any whitespace, accepts a sign and wraps "-1" to
+      // ULLONG_MAX, and the NodeId cast would alias 2^32 + 3 to node 3:
+      // require a digit first and refuse ids that do not fit.
+      char* end = s;
+      unsigned long long node = 0;
+      if (std::isdigit(static_cast<unsigned char>(*s))) {
+        node = std::strtoull(s, &end, 10);
+      }
+      if (end == s || node >= rtr::kInvalidNode) {
+        std::fprintf(stderr, "%s:%d: expected a node id below %u\n",
+                     replay_path.c_str(), lineno, rtr::kInvalidNode);
         std::fclose(f);
         return 2;
       }
