@@ -1,6 +1,8 @@
 #include "dist/distributed_topk.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -41,24 +43,51 @@ GraphProcessor::GraphProcessor(const Graph& g, int id, int num_gps)
                       (sizeof(NodeId) + 2 * sizeof(double));
 }
 
-Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
-                             std::vector<NodeRecord>* out) const {
+namespace {
+
+// A fetch that finished inside Send: the in-process tier has no wire to
+// wait on.
+class ServedFetch : public PendingFetch {
+ public:
+  Status Collect(std::vector<NodeRecord>* out) override {
+    RTR_RETURN_IF_ERROR(status);
+    out->insert(out->end(), std::make_move_iterator(records.begin()),
+                std::make_move_iterator(records.end()));
+    return Status::OK();
+  }
+
+  Status status;
+  std::vector<NodeRecord> records;
+};
+
+}  // namespace
+
+std::unique_ptr<PendingFetch> GraphProcessor::Send(
+    const std::vector<NodeId>& nodes) const {
   fetch_requests_.Add(1);
-  out->reserve(out->size() + nodes.size());
+  auto served = std::make_unique<ServedFetch>();
+  // Owned nodes are the arithmetic progression id, id+num_gps, ...; the
+  // stripe-local index is therefore direct, no search needed.
+  auto local_index = [this](NodeId v) {
+    return (v - static_cast<NodeId>(id_)) / static_cast<NodeId>(num_gps_);
+  };
   for (NodeId v : nodes) {
     if (!Owns(v)) {
-      return Status::InvalidArgument("GP " + std::to_string(id_) +
-                                     " does not own node " +
-                                     std::to_string(v));
+      served->status = Status::InvalidArgument(
+          "GP " + std::to_string(id_) + " does not own node " +
+          std::to_string(v));
+      return served;
     }
-    // Owned nodes are the arithmetic progression id, id+num_gps, ...; the
-    // stripe-local index is therefore direct, no search needed.
-    size_t i = (v - static_cast<NodeId>(id_)) / static_cast<NodeId>(num_gps_);
-    if (i >= owned_nodes_.size()) {
-      return Status::OutOfRange("node " + std::to_string(v) +
-                                " beyond GP " + std::to_string(id_) +
-                                "'s stripe");
+    if (local_index(v) >= owned_nodes_.size()) {
+      served->status = Status::OutOfRange("node " + std::to_string(v) +
+                                          " beyond GP " +
+                                          std::to_string(id_) + "'s stripe");
+      return served;
     }
+  }
+  served->records.reserve(nodes.size());
+  for (NodeId v : nodes) {
+    const size_t i = local_index(v);
     NodeRecord record;
     record.node = v;
     record.out_targets.assign(out_targets_.begin() + out_offsets_[i],
@@ -75,9 +104,9 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
                            in_probs_.begin() + in_offsets_[i + 1]);
     records_served_.Add(1);
     bytes_served_.Add(record.WireBytes());
-    out->push_back(std::move(record));
+    served->records.push_back(std::move(record));
   }
-  return Status::OK();
+  return served;
 }
 
 Cluster::Cluster(std::shared_ptr<const Graph> graph, int num_gps,
@@ -198,9 +227,18 @@ StatusOr<DistributedTopKResult> DistributedTopK(
     per_gp[static_cast<size_t>(cluster.OwnerOf(v))].push_back(v);
   }
 
-  DistributedTopKResult result;
-  std::vector<NodeRecord> active_records;  // the AP's assembled working set
-  active_records.reserve(local->active_node_ids.size());
+  // Send every batch before collecting any reply: each GP serves its
+  // batches while the others serve theirs, and each remote peer's reader
+  // thread verifies its replies in parallel. Replies are collected in send
+  // order, so the assembled working set is the same as with one fetch at a
+  // time.
+  struct SentBatch {
+    size_t gp;
+    size_t begin;
+    size_t end;
+    std::unique_ptr<PendingFetch> fetch;
+  };
+  std::vector<SentBatch> sent;
   std::vector<NodeId> batch;
   for (size_t gp = 0; gp < per_gp.size(); ++gp) {
     const std::vector<NodeId>& wanted = per_gp[gp];
@@ -208,29 +246,37 @@ StatusOr<DistributedTopKResult> DistributedTopK(
          begin += kMaxRecordsPerRequest) {
       size_t end = std::min(begin + kMaxRecordsPerRequest, wanted.size());
       batch.assign(wanted.begin() + begin, wanted.begin() + end);
-      size_t before = active_records.size();
-      RTR_RETURN_IF_ERROR(
-          cluster.source(static_cast<int>(gp)).Fetch(batch, &active_records));
-      ++result.requests_sent;
-      if (active_records.size() - before != batch.size()) {
-        return Status::Internal("GP " + std::to_string(gp) + " served " +
-                                std::to_string(active_records.size() -
-                                               before) +
-                                " records for a request of " +
-                                std::to_string(batch.size()));
+      sent.push_back({gp, begin, end,
+                      cluster.source(static_cast<int>(gp)).Send(batch)});
+    }
+  }
+
+  DistributedTopKResult result;
+  result.requests_sent = sent.size();
+  std::vector<NodeRecord> active_records;  // the AP's assembled working set
+  active_records.reserve(local->active_node_ids.size());
+  for (SentBatch& s : sent) {
+    const size_t before = active_records.size();
+    RTR_RETURN_IF_ERROR(s.fetch->Collect(&active_records));
+    const size_t requested = s.end - s.begin;
+    if (active_records.size() - before != requested) {
+      return Status::Internal("GP " + std::to_string(s.gp) + " served " +
+                              std::to_string(active_records.size() -
+                                             before) +
+                              " records for a request of " +
+                              std::to_string(requested));
+    }
+    for (size_t j = 0; j < requested; ++j) {
+      const NodeRecord& record = active_records[before + j];
+      const NodeId want = per_gp[s.gp][s.begin + j];
+      if (record.node != want) {
+        return Status::Internal("GP " + std::to_string(s.gp) +
+                                " served node " +
+                                std::to_string(record.node) + " where node " +
+                                std::to_string(want) + " was requested");
       }
-      for (size_t j = 0; j < batch.size(); ++j) {
-        const NodeRecord& record = active_records[before + j];
-        if (record.node != batch[j]) {
-          return Status::Internal("GP " + std::to_string(gp) +
-                                  " served node " +
-                                  std::to_string(record.node) +
-                                  " where node " + std::to_string(batch[j]) +
-                                  " was requested");
-        }
-        ++result.active_nodes;
-        result.active_set_bytes += record.WireBytes();
-      }
+      ++result.active_nodes;
+      result.active_set_bytes += record.WireBytes();
     }
   }
 

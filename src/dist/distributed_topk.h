@@ -82,6 +82,19 @@ struct WireTraffic {
   }
 };
 
+// One batched fetch in flight, handed out by RecordSource::Send. Collect
+// completes it; destroying it uncollected abandons it and releases what it
+// holds (a late reply is dropped on arrival). Must not outlive its source.
+class PendingFetch {
+ public:
+  virtual ~PendingFetch() = default;
+
+  // Waits for the fetch to finish and appends one record per requested
+  // node to `out`, in request order. On failure `out` is untouched. Call at
+  // most once.
+  virtual Status Collect(std::vector<NodeRecord>* out) = 0;
+};
+
 // The record-fetch contract an Aggregation Processor consumes: one batched
 // request in, one NodeRecord per requested node out, in request order.
 // Implemented in-process by GraphProcessor (the loopback tier) and over TCP
@@ -89,17 +102,31 @@ struct WireTraffic {
 // ever talks to this interface, so the two tiers are interchangeable under
 // the same stripe layout.
 //
-// Thread safety: implementations must allow concurrent Fetch calls (the
-// serving layer issues fetches from several worker threads).
+// A fetch is split in two phases so an AP can have one request in flight
+// per GP at once: Send puts the request on its way and returns, Collect
+// waits for its records. GraphProcessor serves synchronously inside Send;
+// a remote source writes the request frame in Send and waits for the reply
+// in Collect, which also runs any retries.
+//
+// Thread safety: implementations must allow concurrent Send/Collect calls
+// on distinct pending fetches (the serving layer issues fetches from
+// several worker threads).
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
 
-  // Serves one batched request: appends a record per requested node to
-  // `out`, in request order. Every node must be owned by this source's
-  // shard.
-  virtual Status Fetch(const std::vector<NodeId>& nodes,
-                       std::vector<NodeRecord>* out) const = 0;
+  // Starts one batched request for `nodes`, every one of which must be
+  // owned by this source's shard. Errors surface from Collect.
+  virtual std::unique_ptr<PendingFetch> Send(
+      const std::vector<NodeId>& nodes) const = 0;
+
+  // One batched request start to finish: Send, then Collect. Appends a
+  // record per requested node to `out`, in request order; on failure `out`
+  // is untouched.
+  Status Fetch(const std::vector<NodeId>& nodes,
+               std::vector<NodeRecord>* out) const {
+    return Send(nodes)->Collect(out);
+  }
 
   // Cumulative record-level traffic served through this source.
   virtual uint64_t fetch_requests() const = 0;
@@ -137,7 +164,7 @@ class ShardCounter {
 // serves batched record fetches.
 //
 // Thread safety: immutable after construction except the traffic counters;
-// Fetch and the accessors are const and may be called concurrently (the
+// Send/Fetch and the accessors are const and may be called concurrently (the
 // serving layer issues fetches from several worker threads against one
 // cluster).
 class GraphProcessor : public RecordSource {
@@ -154,10 +181,11 @@ class GraphProcessor : public RecordSource {
 
   bool Owns(NodeId v) const { return v % num_gps_ == static_cast<NodeId>(id_); }
 
-  // Serves one batched request: appends a record per requested node to
-  // `out`. Every node in `nodes` must be owned by this GP.
-  Status Fetch(const std::vector<NodeId>& nodes,
-               std::vector<NodeRecord>* out) const override;
+  // Serves the whole request before returning (Fetch is the usual entry
+  // point). A node this GP does not own fails the request without serving
+  // any record.
+  std::unique_ptr<PendingFetch> Send(
+      const std::vector<NodeId>& nodes) const override;
 
   // Cumulative traffic served by this GP since construction (the per-shard
   // series net-tier backpressure and the serve metrics read). A serving
@@ -286,7 +314,11 @@ inline constexpr size_t kMaxRecordsPerRequest = 256;
 // Answers a top-K RoundTripRank query on the clustered graph: runs 2SBound
 // on the AP, replays its active set (TopKResult::active_node_ids) through
 // batched per-GP fetches, verifies the responses reconstruct the active
-// nodes' adjacency exactly, and reports the measured traffic.
+// nodes' adjacency exactly, and reports the measured traffic. Every batch
+// is sent before any reply is collected, so the GPs serve the query's
+// fetches concurrently and the fetch phase costs about one round trip to
+// the slowest GP. On a failed fetch the batches not yet collected are
+// abandoned.
 //
 // Thread safety: the cluster is only read and all per-query state is local,
 // so concurrent calls over one Cluster are safe (see core/twosbound.h for

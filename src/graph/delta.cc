@@ -11,6 +11,8 @@
 #include <string_view>
 #include <utility>
 
+#include "util/checksum.h"
+
 namespace rtr {
 namespace {
 
@@ -437,18 +439,6 @@ constexpr size_t kDeltaHeaderBytes = 64;
 // Same hostile-header guard as snapshots.
 constexpr uint64_t kMaxDeltaOps = uint64_t{1} << 48;
 
-uint64_t Fnv1a64Words(const char* data, size_t n) {
-  DCHECK_EQ(n % 8, 0u);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 constexpr size_t Padded(size_t n) { return (n + 7) & ~size_t{7}; }
 
 void AppendRaw(std::string* buf, const void* data, size_t n) {
@@ -552,7 +542,8 @@ StatusOr<GraphDelta> LoadGraphDeltaBuffer(const std::string& buf) {
   if (type_block_bytes % 8 != 0) {
     return Status::IoError("delta type-name block misaligned");
   }
-  if (Fnv1a64Words(payload.data(), payload.size()) != info.payload_checksum) {
+  if (util::Fnv1a64Words(payload.data(), payload.size()) !=
+      info.payload_checksum) {
     return Status::IoError("delta checksum mismatch");
   }
 
@@ -619,7 +610,8 @@ Status SaveGraphDelta(const GraphDelta& delta, std::ostream& out) {
   AppendU<uint64_t>(&header, delta.added_node_types.size());
   AppendU<uint64_t>(&header, delta.removed_arcs.size());
   AppendU<uint64_t>(&header, delta.added_arcs.size());
-  AppendU<uint64_t>(&header, Fnv1a64Words(payload.data(), payload.size()));
+  AppendU<uint64_t>(&header,
+                    util::Fnv1a64Words(payload.data(), payload.size()));
   DCHECK_EQ(header.size(), kDeltaHeaderBytes);
 
   out.write(header.data(), static_cast<std::streamsize>(header.size()));

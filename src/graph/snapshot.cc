@@ -25,6 +25,7 @@
 
 #include "graph/io.h"
 #include "obs/metrics.h"
+#include "util/checksum.h"
 
 namespace rtr {
 namespace {
@@ -48,22 +49,6 @@ bool EnvFlagSet(const char* name) {
   if (value == nullptr || *value == '\0') return false;
   return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
          std::strcmp(value, "false") != 0;
-}
-
-// FNV-1a over the payload interpreted as 64-bit little-endian words. Every
-// payload section is zero-padded to 8 bytes, so the payload is always a
-// whole number of words; hashing word-wise keeps the integrity pass an
-// order of magnitude cheaper than byte-wise FNV on multi-GB snapshots.
-uint64_t Fnv1a64Words(const char* data, size_t n) {
-  DCHECK_EQ(n % 8, 0u);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 constexpr size_t Padded(size_t n) { return (n + 7) & ~size_t{7}; }
@@ -356,7 +341,8 @@ Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
   AppendU<uint64_t>(&header, g.num_nodes());
   AppendU<uint64_t>(&header, g.num_arcs());
   AppendU<uint64_t>(&header, SnapshotCodec::TypeBlockBytes(g));
-  AppendU<uint64_t>(&header, Fnv1a64Words(payload.data(), payload.size()));
+  AppendU<uint64_t>(&header,
+                    util::Fnv1a64Words(payload.data(), payload.size()));
   AppendU<uint64_t>(&header, options.generation);
   DCHECK_EQ(header.size(), kHeaderBytes);
 
@@ -490,7 +476,7 @@ StatusOr<Graph> LoadGraphSnapshotBuffer(std::string_view buf,
   SnapshotHeader header;
   std::string_view payload;
   RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload));
-  if (Fnv1a64Words(payload.data(), payload.size()) !=
+  if (util::Fnv1a64Words(payload.data(), payload.size()) !=
       header.info.payload_checksum) {
     return Status::IoError("snapshot checksum mismatch");
   }
@@ -581,7 +567,7 @@ StatusOr<Graph> LoadGraphMapped(const std::string& path,
   // header, offsets, endpoint and node-type pages. RTR_MMAP_VERIFY=1 forces
   // the integrity pass for operators who want it.
   if (EnvFlagSet("RTR_MMAP_VERIFY") &&
-      Fnv1a64Words(payload.data(), payload.size()) !=
+      util::Fnv1a64Words(payload.data(), payload.size()) !=
           header.info.payload_checksum) {
     return Status::IoError("snapshot checksum mismatch");
   }

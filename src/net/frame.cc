@@ -3,6 +3,8 @@
 #include <cstring>
 #include <string>
 
+#include "util/checksum.h"
+
 namespace rtr::net {
 
 namespace {
@@ -62,16 +64,6 @@ Status Truncated(const char* what) {
 
 }  // namespace
 
-uint64_t Fnv1a64(const void* data, size_t n) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 void EncodeFrame(FrameType type, uint64_t request_id,
                  std::span<const uint8_t> payload, std::vector<uint8_t>* out) {
   out->clear();
@@ -83,7 +75,7 @@ void EncodeFrame(FrameType type, uint64_t request_id,
   Append<uint64_t>(out, request_id);
   Append<uint32_t>(out, static_cast<uint32_t>(payload.size()));
   Append<uint32_t>(out, 0);
-  Append<uint64_t>(out, Fnv1a64(payload.data(), payload.size()));
+  Append<uint64_t>(out, util::Fnv1a64Words(payload.data(), payload.size()));
   AppendArray(out, payload.data(), payload.size());
 }
 
@@ -117,7 +109,7 @@ Status DecodeFrameHeader(const uint8_t* buf, FrameHeader* header) {
 
 Status VerifyFramePayload(const FrameHeader& header,
                           std::span<const uint8_t> payload) {
-  const uint64_t got = Fnv1a64(payload.data(), payload.size());
+  const uint64_t got = util::Fnv1a64Words(payload.data(), payload.size());
   if (got != header.checksum) {
     return Status::IoError("frame payload checksum mismatch");
   }

@@ -5,11 +5,19 @@
 //
 // Every message is one frame: a fixed 32-byte header followed by a typed
 // payload. The header carries the payload length (so a reader always knows
-// how many bytes to expect — no sentinels, no in-band escapes) and an
-// FNV-1a checksum over the payload, verified before any payload byte is
-// interpreted. A frame that fails magic/version/length/checksum validation
-// is a transport-level error: the connection is considered poisoned and the
-// client re-sends on a fresh one (net/rpc_client.h).
+// how many bytes to expect — no sentinels, no in-band escapes) and a
+// checksum over every payload byte: util::Fnv1a64Words, the word-wise
+// FNV-1a 64 that snapshots and deltas use too, with a byte-wise tail for
+// payload lengths that are not a multiple of 8. The reader verifies it
+// before any payload byte is interpreted. A frame that fails
+// magic/version/length/checksum validation is a transport-level error: the
+// connection is considered poisoned and the client re-sends on a fresh one
+// (net/rpc_client.h). A frame whose payload exceeds kMaxPayloadBytes is
+// never written: WriteFrame refuses it with kOutOfRange (net/transport.h).
+//
+// Protocol version 2 introduced the word-wise checksum (version 1 hashed
+// byte by byte). A frame of any other version is rejected as corrupt, so an
+// AP and a GP on different versions refuse each other at the handshake.
 //
 //   offset  size  field
 //        0     4  magic "RTRF"
@@ -19,7 +27,7 @@
 //        8     8  request id — echoed by the reply, multiplexing key
 //       16     4  payload length (<= kMaxPayloadBytes)
 //       20     4  reserved (zero)
-//       24     8  FNV-1a 64 checksum of the payload bytes
+//       24     8  util::Fnv1a64Words checksum of the payload bytes
 //
 // Integers are little-endian host order (the project already writes
 // snapshots this way; x86-64 and AArch64 both qualify).
@@ -46,10 +54,11 @@
 namespace rtr::net {
 
 inline constexpr uint32_t kFrameMagic = 0x46525452;  // "RTRF"
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 32;
-// Hard cap on a single frame's payload; a header announcing more is treated
-// as corrupt (it would otherwise make a reader allocate unboundedly).
+// Hard cap on a single frame's payload: a header announcing more is treated
+// as corrupt (it would otherwise make a reader allocate unboundedly), and
+// WriteFrame refuses to send more.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 // In-frame offset of the checksum field; the fault-injection harness flips
 // a byte here to script "corrupted checksum" (net/fault.h).
@@ -71,11 +80,9 @@ struct FrameHeader {
   uint64_t checksum = 0;
 };
 
-// FNV-1a 64 over `n` bytes.
-uint64_t Fnv1a64(const void* data, size_t n);
-
 // Encodes header + payload into `out` (replacing its contents): one frame,
-// ready for a single Transport::WriteAll call.
+// ready for a single Transport::WriteAll call. The payload must not exceed
+// kMaxPayloadBytes (WriteFrame checks).
 void EncodeFrame(FrameType type, uint64_t request_id,
                  std::span<const uint8_t> payload, std::vector<uint8_t>* out);
 

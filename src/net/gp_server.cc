@@ -163,6 +163,20 @@ void GpServer::ServeConnection(std::shared_ptr<Transport> transport) {
     Status written =
         WriteFrame(*transport, reply_type, header.request_id, reply,
                    options_.frame_timeout_ms, &scratch, &wire_bytes);
+    if (written.code() == StatusCode::kOutOfRange) {
+      // The reply does not fit in one frame (a batch of hub records can
+      // pass 64 MiB). Nothing was written, so the stream is intact: answer
+      // with a typed error the client will not retry.
+      const size_t reply_bytes = reply.size();
+      EncodeErrorReply(Status::OutOfRange(
+                           "reply of " + std::to_string(reply_bytes) +
+                           " bytes exceeds the frame cap of " +
+                           std::to_string(kMaxPayloadBytes)),
+                       &reply);
+      written = WriteFrame(*transport, FrameType::kErrorReply,
+                           header.request_id, reply,
+                           options_.frame_timeout_ms, &scratch, &wire_bytes);
+    }
     if (!written.ok()) break;  // connection cut (possibly by a fault script)
     frames_sent_.Increment();
     bytes_sent_.Add(wire_bytes);

@@ -7,8 +7,9 @@
 // `shard` of `num_gps` and answers the frame protocol on a TCP port: kHello
 // is acked with the server's actual identity (the client compares and
 // refuses to proceed on mismatch), kFetch batches are answered with
-// kFetchReply or — when the shard-level Fetch fails — a kErrorReply
-// carrying the typed Status across the wire. One handler thread per
+// kFetchReply or — when the shard-level Fetch fails, or the reply would
+// exceed the frame cap (kOutOfRange) — a kErrorReply carrying the typed
+// Status across the wire. One handler thread per
 // accepted connection; requests on a connection are served in order, and
 // independent AP connections proceed in parallel.
 //

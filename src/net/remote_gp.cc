@@ -11,18 +11,37 @@ RemoteGraphProcessor::RemoteGraphProcessor(std::string host, uint16_t port,
                                            RpcClientOptions options)
     : client_(std::move(host), port, expected, options) {}
 
-Status RemoteGraphProcessor::Fetch(const std::vector<NodeId>& nodes,
-                                   std::vector<dist::NodeRecord>* out) const {
-  const size_t before = out->size();
-  RTR_RETURN_IF_ERROR(client_.Fetch(nodes, out));
-  fetch_requests_.Add(1);
-  uint64_t record_bytes = 0;
-  for (size_t i = before; i < out->size(); ++i) {
-    record_bytes += (*out)[i].WireBytes();
+// A fetch whose request frame is on the wire; Collect waits for the reply
+// and counts the records it brought.
+class RemoteGraphProcessor::InFlight : public dist::PendingFetch {
+ public:
+  explicit InFlight(const RemoteGraphProcessor* source) : source_(source) {}
+
+  Status Collect(std::vector<dist::NodeRecord>* out) override {
+    const size_t before = out->size();
+    RTR_RETURN_IF_ERROR(source_->client_.Collect(&call_, out));
+    source_->fetch_requests_.Add(1);
+    uint64_t record_bytes = 0;
+    for (size_t i = before; i < out->size(); ++i) {
+      record_bytes += (*out)[i].WireBytes();
+    }
+    source_->records_served_.Add(out->size() - before);
+    source_->bytes_served_.Add(record_bytes);
+    return Status::OK();
   }
-  records_served_.Add(out->size() - before);
-  bytes_served_.Add(record_bytes);
-  return Status::OK();
+
+  RpcClient::Call* call() { return &call_; }
+
+ private:
+  const RemoteGraphProcessor* source_;
+  RpcClient::Call call_;
+};
+
+std::unique_ptr<dist::PendingFetch> RemoteGraphProcessor::Send(
+    const std::vector<NodeId>& nodes) const {
+  auto fetch = std::make_unique<InFlight>(this);
+  client_.Send(nodes, fetch->call());
+  return fetch;
 }
 
 StatusOr<std::unique_ptr<dist::Cluster>> ConnectRemoteCluster(

@@ -4,12 +4,14 @@
 // Networked dist::RecordSource (DESIGN.md §12).
 //
 // RemoteGraphProcessor is the drop-in the AP plugs into a dist::Cluster in
-// place of an in-process GraphProcessor: same Fetch contract, same
+// place of an in-process GraphProcessor: same Send/Collect contract, same
 // record-level counters, but the records come off a TCP connection to a
 // `rtr_cli gp-serve` process and wire() reports the real frames/bytes/
-// retries instead of zeros. DistributedTopK validates every remote record
-// byte-for-byte against the AP graph, so the two tiers are bit-checkable
-// against each other (tests/dist/remote_cluster_test.cc).
+// retries instead of zeros. Send writes the request frame and returns;
+// the pending fetch's Collect waits for the reply (RpcClient::Collect).
+// DistributedTopK validates every remote record byte-for-byte against the
+// AP graph, so the two tiers are bit-checkable against each other
+// (tests/dist/remote_parity_test.cc).
 
 #include <cstdint>
 #include <memory>
@@ -33,8 +35,8 @@ class RemoteGraphProcessor : public dist::RecordSource {
   // Dials and verifies the shard-identity handshake.
   Status Connect() { return client_.Connect(); }
 
-  Status Fetch(const std::vector<NodeId>& nodes,
-               std::vector<dist::NodeRecord>* out) const override;
+  std::unique_ptr<dist::PendingFetch> Send(
+      const std::vector<NodeId>& nodes) const override;
 
   uint64_t fetch_requests() const override { return fetch_requests_.value(); }
   uint64_t records_served() const override { return records_served_.value(); }
@@ -42,9 +44,14 @@ class RemoteGraphProcessor : public dist::RecordSource {
   dist::WireTraffic wire() const override { return client_.wire(); }
 
   const std::string& endpoint() const { return client_.endpoint(); }
+  // Fetches sent but not yet answered or abandoned (see RpcClient).
+  size_t calls_in_flight() const { return client_.calls_in_flight(); }
+  size_t outstanding_bytes() const { return client_.outstanding_bytes(); }
 
  private:
-  // Fetch is const (the RecordSource contract); the client's state churn
+  class InFlight;
+
+  // Send is const (the RecordSource contract); the client's state churn
   // is this source's internal business.
   mutable RpcClient client_;
   mutable dist::ShardCounter fetch_requests_;

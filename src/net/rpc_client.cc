@@ -155,9 +155,10 @@ void RpcClient::ReaderLoop(Connection* conn) {
       std::lock_guard<std::mutex> lock(mu_);
       conn->broken.store(true, std::memory_order_release);
       for (auto& [id, call] : pending_) {
-        if (!call->done) {
+        // Calls already re-sent on a newer connection are not affected.
+        if (!call->done && call->conn.get() == conn) {
           call->done = true;
-          call->status = failure;
+          call->reply_status = failure;
         }
       }
       cv_.notify_all();
@@ -169,58 +170,92 @@ void RpcClient::ReaderLoop(Connection* conn) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(header.request_id);
     if (it == pending_.end()) continue;  // late reply for a timed-out call
-    PendingCall* call = it->second;
+    Call* call = it->second;
     if (!call->done) {
-      call->header = header;
-      call->payload = std::move(payload);
-      call->status = Status::OK();
+      call->reply_header = header;
+      call->reply_payload = std::move(payload);
+      call->reply_status = Status::OK();
       call->done = true;
       cv_.notify_all();
     }
   }
 }
 
-Status RpcClient::Fetch(const std::vector<NodeId>& nodes,
-                        std::vector<dist::NodeRecord>* out) {
-  std::vector<uint8_t> request;
-  EncodeFetchRequest(nodes, &request);
-  const size_t request_wire_bytes = kFrameHeaderBytes + request.size();
+RpcClient::Call::~Call() {
+  if (client != nullptr) client->Release(this);
+}
+
+void RpcClient::Release(Call* call) {
+  if (call->id != 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.erase(call->id);
+    call->id = 0;
+  }
+  if (call->holds_window) {
+    outstanding_bytes_.fetch_sub(call->request_wire_bytes,
+                                 std::memory_order_acq_rel);
+    call->holds_window = false;
+  }
+  call->conn.reset();
+  std::vector<uint8_t>().swap(call->reply_payload);
+}
+
+size_t RpcClient::calls_in_flight() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.size();
+}
+
+void RpcClient::Send(const std::vector<NodeId>& nodes, Call* call) {
+  DCHECK(call->client == nullptr) << "an RpcClient::Call is sent once";
+  call->client = this;
+  EncodeFetchRequest(nodes, &call->request);
+  call->num_nodes = nodes.size();
+  call->request_wire_bytes = kFrameHeaderBytes + call->request.size();
 
   // Backpressure: shed locally when the peer already has a full window of
   // un-replied request bytes. Not retried — the caller sees kUnavailable
   // and can back off at its own level.
   size_t outstanding = outstanding_bytes_.fetch_add(
-      request_wire_bytes, std::memory_order_acq_rel);
-  if (outstanding + request_wire_bytes > options_.max_outstanding_bytes) {
-    outstanding_bytes_.fetch_sub(request_wire_bytes,
+      call->request_wire_bytes, std::memory_order_acq_rel);
+  if (outstanding + call->request_wire_bytes >
+      options_.max_outstanding_bytes) {
+    outstanding_bytes_.fetch_sub(call->request_wire_bytes,
                                  std::memory_order_acq_rel);
     sheds_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable(
+    call->started = Status::Unavailable(
         "backpressure: " + endpoint_ + " has " + std::to_string(outstanding) +
         " un-replied bytes (cap " +
         std::to_string(options_.max_outstanding_bytes) + ")");
+    return;
   }
+  call->holds_window = true;
+  call->started = StartAttempt(call);
+}
 
-  Status last = Status::OK();
-  int backoff_ms = options_.backoff_initial_ms;
+Status RpcClient::Collect(Call* call, std::vector<dist::NodeRecord>* out) {
+  DCHECK(call->client == this) << "collecting a call this client never sent";
+  if (!call->holds_window) return call->started;  // shed
+
   std::vector<dist::NodeRecord> records;
-  for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
+  Status last = call->started;
+  if (last.ok()) last = FinishAttempt(call, &records);
+  int backoff_ms = options_.backoff_initial_ms;
+  const int max_attempts = std::max(1, options_.max_attempts);
+  for (int attempt = 1; attempt < max_attempts && !last.ok() &&
+                        Retryable(last);
        ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
-    }
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
     records.clear();
-    last = TryFetch(request, nodes.size(), &records);
-    if (last.ok() || !Retryable(last)) break;
+    last = StartAttempt(call);
+    if (last.ok()) last = FinishAttempt(call, &records);
   }
-  outstanding_bytes_.fetch_sub(request_wire_bytes, std::memory_order_acq_rel);
+  Release(call);
   if (!last.ok()) {
     if (Retryable(last)) {
       return Status::Unavailable(
-          endpoint_ + " unreachable after " +
-          std::to_string(std::max(1, options_.max_attempts)) +
+          endpoint_ + " unreachable after " + std::to_string(max_attempts) +
           " attempts; last error: " + last.ToString());
     }
     return last;
@@ -230,54 +265,68 @@ Status RpcClient::Fetch(const std::vector<NodeId>& nodes,
   return Status::OK();
 }
 
-Status RpcClient::TryFetch(const std::vector<uint8_t>& request,
-                           size_t num_nodes,
-                           std::vector<dist::NodeRecord>* out) {
+Status RpcClient::StartAttempt(Call* call) {
   StatusOr<std::shared_ptr<Connection>> conn_or = EnsureConnected();
   RTR_RETURN_IF_ERROR(conn_or.status());
-  std::shared_ptr<Connection> conn = std::move(*conn_or);
-
-  PendingCall call;
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  call->conn = std::move(*conn_or);
+  Connection& conn = *call->conn;
+  call->done = false;
+  call->id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_[id] = &call;
+    // The reader fails the calls pending on a connection once, when it
+    // breaks; a call registered after that would only wait out its timeout.
+    if (conn.broken.load(std::memory_order_acquire)) {
+      call->id = 0;
+      return Status::Unavailable("connection to " + endpoint_ + " lost");
+    }
+    pending_[call->id] = call;
   }
 
   Status written = Status::OK();
   {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
+    std::lock_guard<std::mutex> write_lock(conn.write_mu);
     std::vector<uint8_t> scratch;
     size_t wire_bytes = 0;
-    written = WriteFrame(*conn->transport, FrameType::kFetch, id, request,
-                         options_.call_timeout_ms, &scratch, &wire_bytes);
+    written = WriteFrame(*conn.transport, FrameType::kFetch, call->id,
+                         call->request, options_.call_timeout_ms, &scratch,
+                         &wire_bytes);
     if (written.ok()) {
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
       bytes_sent_.fetch_add(wire_bytes, std::memory_order_relaxed);
     }
   }
   if (!written.ok()) {
+    // A refused oversized request left the stream intact; anything else
+    // may have left half a frame on it.
+    const bool poisoned = written.code() != StatusCode::kOutOfRange;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(id);
-      conn->broken.store(true, std::memory_order_release);
+      pending_.erase(call->id);
+      call->id = 0;
+      if (poisoned) conn.broken.store(true, std::memory_order_release);
     }
-    conn->transport->Close();
-    return written;  // kIoError / kDeadlineExceeded — both retryable
+    if (poisoned) conn.transport->Close();
+    return written;  // kIoError / kDeadlineExceeded are retryable
   }
+  call->deadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(options_.call_timeout_ms);
+  return Status::OK();
+}
 
+Status RpcClient::FinishAttempt(Call* call,
+                                std::vector<dist::NodeRecord>* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  bool done = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.call_timeout_ms),
-      [&call] { return call.done; });
-  pending_.erase(id);
+  bool done =
+      cv_.wait_until(lock, call->deadline, [call] { return call->done; });
+  pending_.erase(call->id);
+  call->id = 0;
   if (!done) {
     // Poison the connection: a reply this late must never be matched to a
     // future request, and the frame may still be half-way down the stream.
-    conn->broken.store(true, std::memory_order_release);
+    call->conn->broken.store(true, std::memory_order_release);
     lock.unlock();
-    conn->transport->Close();
+    call->conn->transport->Close();
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("no reply from " + endpoint_ +
                                     " within " +
@@ -285,23 +334,24 @@ Status RpcClient::TryFetch(const std::vector<uint8_t>& request,
                                     "ms");
   }
   lock.unlock();
-  RTR_RETURN_IF_ERROR(call.status);
+  RTR_RETURN_IF_ERROR(call->reply_status);
 
-  if (call.header.type == FrameType::kErrorReply) {
+  if (call->reply_header.type == FrameType::kErrorReply) {
     Status remote = Status::OK();
-    RTR_RETURN_IF_ERROR(DecodeErrorReply(call.payload, &remote));
+    RTR_RETURN_IF_ERROR(DecodeErrorReply(call->reply_payload, &remote));
     return remote;
   }
-  if (call.header.type != FrameType::kFetchReply) {
-    return Status::IoError(endpoint_ + " answered a fetch with frame type " +
-                           std::to_string(static_cast<int>(call.header.type)));
+  if (call->reply_header.type != FrameType::kFetchReply) {
+    return Status::IoError(
+        endpoint_ + " answered a fetch with frame type " +
+        std::to_string(static_cast<int>(call->reply_header.type)));
   }
-  RTR_RETURN_IF_ERROR(DecodeFetchReply(call.payload, out));
-  if (out->size() != num_nodes) {
+  RTR_RETURN_IF_ERROR(DecodeFetchReply(call->reply_payload, out));
+  if (out->size() != call->num_nodes) {
     return Status::Internal(endpoint_ + " served " +
                             std::to_string(out->size()) +
                             " records for a request of " +
-                            std::to_string(num_nodes));
+                            std::to_string(call->num_nodes));
   }
   return Status::OK();
 }

@@ -346,6 +346,12 @@ Status ReadFrame(Transport& transport, int idle_timeout_ms,
 Status WriteFrame(Transport& transport, FrameType type, uint64_t request_id,
                   std::span<const uint8_t> payload, int timeout_ms,
                   std::vector<uint8_t>* scratch, size_t* wire_bytes) {
+  if (payload.size() > kMaxPayloadBytes) {
+    return Status::OutOfRange("frame payload of " +
+                              std::to_string(payload.size()) +
+                              " bytes exceeds the frame cap of " +
+                              std::to_string(kMaxPayloadBytes));
+  }
   EncodeFrame(type, request_id, payload, scratch);
   RTR_RETURN_IF_ERROR(transport.WriteAll(*scratch, timeout_ms));
   if (wire_bytes != nullptr) *wire_bytes = scratch->size();

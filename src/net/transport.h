@@ -106,7 +106,9 @@ Status ReadFrame(Transport& transport, int idle_timeout_ms,
 
 // Encodes and writes one frame in a single Transport::WriteAll call.
 // `scratch` holds the encoded bytes (reused across calls); on success
-// *wire_bytes (optional) is the frame's size on the wire.
+// *wire_bytes (optional) is the frame's size on the wire. A payload over
+// kMaxPayloadBytes is refused with kOutOfRange before anything is written:
+// the connection stays usable, and re-sending cannot help.
 Status WriteFrame(Transport& transport, FrameType type, uint64_t request_id,
                   std::span<const uint8_t> payload, int timeout_ms,
                   std::vector<uint8_t>* scratch,

@@ -101,6 +101,30 @@ TEST(GraphProcessorTest, FetchRejectsForeignNode) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(GraphProcessorTest, MixedBatchFailsWithoutPartialOutput) {
+  Graph g = SmallRandomishGraph();
+  dist::Cluster cluster(NoCopy(g), 2);
+  const dist::GraphProcessor& gp0 = cluster.gps()[0];
+  // A record already in `out` from an earlier batch must survive as is.
+  std::vector<dist::NodeRecord> records;
+  ASSERT_TRUE(gp0.Fetch({2}, &records).ok());
+  ASSERT_EQ(records.size(), 1u);
+  const uint64_t served_before = gp0.records_served();
+
+  // Nodes 0 and 4 are GP 0's, node 3 is GP 1's: the whole batch fails and
+  // nothing is appended, not even the owned records ahead of node 3.
+  Status status = gp0.Fetch({0, 4, 3, 6}, &records);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].node, 2u);
+  EXPECT_EQ(gp0.records_served(), served_before);
+
+  // Past the stripe's end is refused the same way.
+  status = gp0.Fetch({0, static_cast<NodeId>(g.num_nodes() + 10)}, &records);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(records.size(), 1u);
+}
+
 TEST(DistributedTopKTest, SingleGpDegeneratesToLocal) {
   Graph g = SmallRandomishGraph();
   dist::Cluster cluster(NoCopy(g), 1);

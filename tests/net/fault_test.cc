@@ -8,6 +8,7 @@
 // (Rpc|Transport|RemoteGraphProcessor).
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -325,6 +326,186 @@ TEST(RemoteGraphProcessorClusterTest, DegradedClusterStaysBitIdentical) {
   auto dead_result = dist::DistributedTopK(**remote, query, params);
   ASSERT_FALSE(dead_result.ok());
   EXPECT_EQ(dead_result.status().code(), StatusCode::kUnavailable);
+}
+
+// Split-phase fan-out under faults: DistributedTopK sends every per-GP
+// batch before collecting any reply, so while one shard misbehaves the
+// other shards' requests are already in flight. A scripted fault on one of
+// three shards must end the query within max_attempts x call_timeout_ms,
+// with either the bit-identical answer or a typed error. No call may stay
+// registered and no backpressure byte may stay counted, and the next query
+// must match the local engine bit for bit.
+class RemoteGraphProcessorFanOutTest : public ::testing::Test {
+ protected:
+  static constexpr int kNumGps = 3;
+
+  void SetUp() override {
+    graph_ = std::make_shared<const Graph>(FanOutGraph());
+    for (int shard = 0; shard < kNumGps; ++shard) {
+      net::GpServerOptions options;
+      options.fault_injector = &injectors_[shard];
+      auto server = net::GpServer::Start(graph_, shard, kNumGps, 0, options);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      endpoints_.push_back("127.0.0.1:" + std::to_string((*server)->port()));
+      servers_.push_back(std::move(*server));
+    }
+    options_ = FastOptions();
+    options_.call_timeout_ms = 500;
+    params_.k = 8;
+    // A tight epsilon grows the active set to well over a thousand nodes,
+    // so every shard gets several batches and a shard's connection carries
+    // several calls at once.
+    params_.epsilon = 1e-4;
+  }
+
+  // Dials every shard. Scripts enqueued before this apply to the
+  // connections it opens (write #0 is the handshake ack).
+  void ConnectCluster() {
+    auto remote = net::ConnectRemoteCluster(graph_, 0, endpoints_, options_);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    remote_ = std::move(*remote);
+  }
+
+  static Graph FanOutGraph() {
+    GraphBuilder b;
+    NodeTypeId t = b.AddNodeType("n");
+    const NodeId n = 3000;
+    b.AddNodes(n, t);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId j = 1; j <= 4; ++j) {
+        NodeId v = (u * 31 + j * 977) % n;
+        if (v != u) b.AddUndirectedEdge(u, v, 1.0 + (u + j) % 7);
+      }
+    }
+    return b.Build().value();
+  }
+
+  const net::RemoteGraphProcessor& Source(int gp) const {
+    return dynamic_cast<const net::RemoteGraphProcessor&>(
+        remote_->source(gp));
+  }
+
+  void ExpectNothingInFlight() const {
+    for (int gp = 0; gp < kNumGps; ++gp) {
+      EXPECT_EQ(Source(gp).calls_in_flight(), 0u) << "shard " << gp;
+      EXPECT_EQ(Source(gp).outstanding_bytes(), 0u) << "shard " << gp;
+    }
+  }
+
+  double BoundMillis() const {
+    return static_cast<double>(options_.max_attempts) *
+           options_.call_timeout_ms;
+  }
+
+  static void ExpectSameAnswer(const dist::DistributedTopKResult& got,
+                               const core::TopKResult& want) {
+    ASSERT_EQ(got.topk.entries.size(), want.entries.size());
+    for (size_t i = 0; i < want.entries.size(); ++i) {
+      EXPECT_EQ(got.topk.entries[i].node, want.entries[i].node);
+      EXPECT_DOUBLE_EQ(got.topk.entries[i].lower, want.entries[i].lower);
+      EXPECT_DOUBLE_EQ(got.topk.entries[i].upper, want.entries[i].upper);
+    }
+    EXPECT_EQ(got.topk.active_node_ids, want.active_node_ids);
+    EXPECT_EQ(got.active_set_bytes, want.active_set_bytes);
+  }
+
+  // Runs `query` with the scripted faults in place, then a clean follow-up.
+  void RunFaultedThenClean(const Query& query, bool expect_ok) {
+    // The local engine run is both the ground truth and the AP's own share
+    // of the query time; only the fetch phase must fit the retry budget.
+    WallTimer engine_timer;
+    const core::TopKResult want =
+        core::TopKRoundTripRank(*graph_, query, params_).value();
+    const double engine_ms = engine_timer.ElapsedMillis();
+
+    WallTimer timer;
+    auto faulted = dist::DistributedTopK(*remote_, query, params_);
+    EXPECT_LT(timer.ElapsedMillis() - engine_ms, BoundMillis());
+    if (expect_ok) {
+      ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+      ExpectSameAnswer(*faulted, want);
+      EXPECT_GT(faulted->requests_sent, static_cast<size_t>(kNumGps));
+    } else {
+      ASSERT_FALSE(faulted.ok());
+      EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
+    }
+    ExpectNothingInFlight();
+
+    auto clean = dist::DistributedTopK(*remote_, query, params_);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ExpectSameAnswer(*clean, want);
+    ExpectNothingInFlight();
+  }
+
+  std::shared_ptr<const Graph> graph_;
+  net::FaultInjector injectors_[kNumGps];
+  std::vector<std::unique_ptr<net::GpServer>> servers_;
+  std::vector<std::string> endpoints_;
+  net::RpcClientOptions options_;
+  std::unique_ptr<dist::Cluster> remote_;
+  core::TopKParams params_;
+};
+
+TEST_F(RemoteGraphProcessorFanOutTest, DelayedShardTimesOutAndRetries) {
+  // Shard 1 holds its first fetch reply past the call timeout while shards
+  // 0 and 2 answer. The late shard's calls (the timed-out one and the one
+  // queued behind it on the same connection) are re-sent on a fresh
+  // connection; the others are not touched.
+  net::ConnectionScript slow;
+  slow.write_faults = {
+      {net::FaultOp::kNone, 0},
+      {net::FaultOp::kDelayWrite, 2 * options_.call_timeout_ms}};
+  injectors_[1].Enqueue(std::move(slow));
+  ConnectCluster();
+
+  RunFaultedThenClean({17}, /*expect_ok=*/true);
+  EXPECT_EQ(Source(1).wire().timeouts, 1u);
+  EXPECT_GE(Source(1).wire().retries, 1u);
+  EXPECT_EQ(Source(1).wire().reconnects, 1u);
+  for (int gp : {0, 2}) {
+    EXPECT_EQ(Source(gp).wire().retries, 0u) << "shard " << gp;
+    EXPECT_EQ(Source(gp).wire().reconnects, 0u) << "shard " << gp;
+  }
+}
+
+TEST_F(RemoteGraphProcessorFanOutTest, ShardCutMidReplyRetries) {
+  // Shard 2 dies half-way through its first fetch reply: every call
+  // waiting on that connection fails at once and is re-sent.
+  net::ConnectionScript cut;
+  cut.write_faults = {{net::FaultOp::kNone, 0},
+                      {net::FaultOp::kShortWriteClose, 0}};
+  injectors_[2].Enqueue(std::move(cut));
+  ConnectCluster();
+
+  RunFaultedThenClean({17}, /*expect_ok=*/true);
+  EXPECT_GE(Source(2).wire().retries, 1u);
+  EXPECT_EQ(Source(2).wire().timeouts, 0u);
+  for (int gp : {0, 1}) {
+    EXPECT_EQ(Source(gp).wire().retries, 0u) << "shard " << gp;
+  }
+}
+
+TEST_F(RemoteGraphProcessorFanOutTest, ExhaustedShardAbandonsTheOthers) {
+  // Shard 0 cuts the first fetch reply on every connection the query
+  // opens, so its first batch fails after max_attempts tries. The query
+  // ends with a typed error; the batches still in flight on shards 0, 1
+  // and 2 are abandoned without leaking a registration or a window byte,
+  // and their late replies do not disturb the next query.
+  for (int i = 0; i < options_.max_attempts; ++i) {
+    net::ConnectionScript cut;
+    cut.write_faults = {{net::FaultOp::kNone, 0},
+                        {net::FaultOp::kCloseBeforeWrite, 0}};
+    injectors_[0].Enqueue(std::move(cut));
+  }
+  ConnectCluster();
+
+  RunFaultedThenClean({17}, /*expect_ok=*/false);
+  EXPECT_EQ(Source(0).wire().retries,
+            static_cast<uint64_t>(options_.max_attempts - 1));
+  for (int gp : {1, 2}) {
+    EXPECT_EQ(Source(gp).wire().retries, 0u) << "shard " << gp;
+    EXPECT_EQ(Source(gp).wire().reconnects, 0u) << "shard " << gp;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,6 +100,101 @@ TEST(TransportFrameTest, CorruptionIsDetected) {
                                                 net::kFrameHeaderBytes,
                                             payload.size()))
                    .ok());
+}
+
+TEST(TransportFrameTest, EverySingleBitFlipOfAFetchReplyIsRejected) {
+  Graph g = SmallRandomishGraph();
+  dist::GraphProcessor gp(g, 0, 1);
+  std::vector<dist::NodeRecord> records;
+  ASSERT_TRUE(gp.Fetch({4, 9}, &records).ok());
+  std::vector<uint8_t> payload;
+  net::EncodeFetchReply(records, &payload);
+  // Fetch replies are a multiple of 4 bytes long; dropping one byte makes
+  // the length odd, so the checksum's byte-wise tail is covered too.
+  payload.pop_back();
+  ASSERT_EQ(payload.size() % 2, 1u);
+
+  std::vector<uint8_t> frame;
+  net::EncodeFrame(net::FrameType::kFetchReply, 3, payload, &frame);
+  net::FrameHeader header;
+  ASSERT_TRUE(net::DecodeFrameHeader(frame.data(), &header).ok());
+  std::span<uint8_t> body(frame.data() + net::kFrameHeaderBytes,
+                          payload.size());
+  ASSERT_TRUE(net::VerifyFramePayload(header, body).ok());
+  for (size_t bit = 0; bit < body.size() * 8; ++bit) {
+    const uint8_t mask = static_cast<uint8_t>(1u << (bit % 8));
+    body[bit / 8] ^= mask;
+    EXPECT_EQ(net::VerifyFramePayload(header, body).code(),
+              StatusCode::kIoError)
+        << "payload bit " << bit;
+    body[bit / 8] ^= mask;
+  }
+  // Flips in the stored checksum are caught the same way.
+  for (size_t bit = 0; bit < 64; ++bit) {
+    net::FrameHeader bad = header;
+    bad.checksum ^= uint64_t{1} << bit;
+    EXPECT_EQ(net::VerifyFramePayload(bad, body).code(), StatusCode::kIoError)
+        << "checksum bit " << bit;
+  }
+}
+
+TEST(TransportFrameTest, OldProtocolVersionIsRejected) {
+  std::vector<uint8_t> payload = {1, 2, 3};
+  std::vector<uint8_t> frame;
+  net::EncodeFrame(net::FrameType::kHello, 0, payload, &frame);
+  ASSERT_EQ(frame[4], net::kProtocolVersion);
+  // Version 1 frames carry a byte-wise checksum this reader cannot verify.
+  frame[4] = 1;
+  net::FrameHeader header;
+  EXPECT_EQ(net::DecodeFrameHeader(frame.data(), &header).code(),
+            StatusCode::kIoError);
+}
+
+// Records every WriteAll; reads report a closed peer.
+class RecordingTransport : public net::Transport {
+ public:
+  StatusOr<size_t> ReadSome(uint8_t*, size_t, int) override {
+    return size_t{0};
+  }
+  Status WriteAll(std::span<const uint8_t> frame, int) override {
+    ++writes;
+    bytes += frame.size();
+    return Status::OK();
+  }
+  void Close() override {}
+  bool closed() const override { return false; }
+  const std::string& peer() const override { return peer_; }
+
+  int writes = 0;
+  size_t bytes = 0;
+
+ private:
+  std::string peer_ = "recorder";
+};
+
+TEST(TransportFrameTest, WriteFrameRefusesPayloadOverTheCap) {
+  RecordingTransport transport;
+  std::vector<uint8_t> scratch;
+  size_t wire_bytes = 0;
+  {
+    const std::vector<uint8_t> over_cap(net::kMaxPayloadBytes + size_t{1});
+    Status refused =
+        net::WriteFrame(transport, net::FrameType::kFetchReply, 1, over_cap,
+                        1000, &scratch, &wire_bytes);
+    // Typed and not retryable: re-sending the same reply cannot shrink it.
+    EXPECT_EQ(refused.code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(transport.writes, 0);
+  EXPECT_EQ(transport.bytes, 0u);
+  EXPECT_EQ(wire_bytes, 0u);
+
+  // Nothing reached the stream, so the next frame goes out normally.
+  const std::vector<uint8_t> small = {1, 2, 3};
+  ASSERT_TRUE(net::WriteFrame(transport, net::FrameType::kErrorReply, 1,
+                              small, 1000, &scratch, &wire_bytes)
+                  .ok());
+  EXPECT_EQ(transport.writes, 1);
+  EXPECT_EQ(wire_bytes, net::kFrameHeaderBytes + small.size());
 }
 
 TEST(TransportFrameTest, FetchReplyCodecRoundTrip) {
@@ -223,6 +320,29 @@ TEST(RemoteGraphProcessorTest, HandshakeRejectsWrongShardIdentity) {
   net::RemoteGraphProcessor right("127.0.0.1", (*server)->port(),
                                   IdentityFor(*graph, 0, 3, 5));
   EXPECT_TRUE(right.Connect().ok());
+}
+
+TEST(RemoteGraphProcessorTest, OldProtocolPeerIsRefusedAtHandshake) {
+  auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
+  auto server = net::GpServer::Start(graph, 0, 1, 0);
+  ASSERT_TRUE(server.ok());
+  auto transport = net::ConnectTo("127.0.0.1", (*server)->port(), 1000);
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+
+  // A version-1 peer's hello: well formed except for the version byte.
+  std::vector<uint8_t> hello;
+  net::EncodeHello(IdentityFor(*graph, 0, 1, 0), &hello);
+  std::vector<uint8_t> frame;
+  net::EncodeFrame(net::FrameType::kHello, 0, hello, &frame);
+  frame[4] = 1;
+  ASSERT_TRUE((*transport)->WriteAll(frame, 1000).ok());
+
+  // The server drops the connection instead of acking.
+  net::FrameHeader header;
+  std::vector<uint8_t> reply;
+  Status read = net::ReadFrame(**transport, 2000, 2000, &header, &reply);
+  EXPECT_FALSE(read.ok());
+  EXPECT_NE(read.code(), StatusCode::kDeadlineExceeded) << read.ToString();
 }
 
 TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
