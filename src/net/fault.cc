@@ -11,6 +11,11 @@ void FaultInjector::Enqueue(ConnectionScript script) {
   scripts_.push_back(std::move(script));
 }
 
+void FaultInjector::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  scripts_.clear();
+}
+
 ConnectionScript FaultInjector::Next() {
   connections_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(mu_);

@@ -67,6 +67,8 @@ class FaultInjector {
  public:
   // Script for the next accepted connection.
   void Enqueue(ConnectionScript script);
+  // Drops every script not yet handed out; later connections run clean.
+  void Clear();
 
   // Permanent death: every subsequent accept is refused regardless of
   // queued scripts (the "GP crashed and is not coming back" scenario).

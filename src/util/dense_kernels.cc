@@ -1,16 +1,12 @@
 #include "util/dense_kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace rtr::util {
 namespace {
 
-// Portable reference implementations of the 4-lane contract documented in
-// the header. Plain mul + add on purpose: this TU is built without -mfma,
-// so the compiler cannot contract the pair and break bit-identity with the
-// AVX2 path.
+// Portable reference body of the 4-lane contract documented in the header.
+// Plain mul + add on purpose: this TU is built without -mfma, so the
+// compiler cannot contract the pair and break bit-identity with the AVX2
+// body.
 double PortableGatherDotF64(const uint32_t* idx, const double* probs,
                             size_t n, const double* x) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
@@ -25,20 +21,6 @@ double PortableGatherDotF64(const uint32_t* idx, const double* probs,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-double PortableGatherDotF32(const uint32_t* idx, const float* probs,
-                            size_t n, const double* x) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lanes[0] += static_cast<double>(probs[i]) * x[idx[i]];
-    lanes[1] += static_cast<double>(probs[i + 1]) * x[idx[i + 1]];
-    lanes[2] += static_cast<double>(probs[i + 2]) * x[idx[i + 2]];
-    lanes[3] += static_cast<double>(probs[i + 3]) * x[idx[i + 3]];
-  }
-  for (; i < n; ++i) lanes[i & 3] += static_cast<double>(probs[i]) * x[idx[i]];
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
 bool HostHasAvx2() {
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -48,78 +30,33 @@ bool HostHasAvx2() {
 #endif
 }
 
-bool EnvDisables(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return false;
-  return std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-         std::strcmp(value, "false") == 0;
-}
-
-bool EnvEnables(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return false;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
-}
-
-// Dispatch state. The function pointers are resolved eagerly and swapped
-// atomically by SetSimdEnabled; relaxed loads keep the hot-path indirection
-// at one predicted branch-free call.
-struct DispatchState {
-  std::atomic<internal::GatherF64Fn> f64{&PortableGatherDotF64};
-  std::atomic<internal::GatherF32Fn> f32{&PortableGatherDotF32};
-  std::atomic<bool> simd{false};
-  std::atomic<bool> use_f32{false};
-
-  DispatchState() {
-    use_f32.store(EnvEnables("RTR_F32_KERNELS"), std::memory_order_relaxed);
-    Select(HostHasAvx2() && !EnvDisables("RTR_SIMD"));
-  }
-
-  void Select(bool want_simd) {
-    const internal::GatherKernels* avx2 = internal::Avx2Kernels();
-    const bool on = want_simd && HostHasAvx2() && avx2 != nullptr;
-    f64.store(on ? avx2->f64 : &PortableGatherDotF64,
-              std::memory_order_relaxed);
-    f32.store(on ? avx2->f32 : &PortableGatherDotF32,
-              std::memory_order_relaxed);
-    simd.store(on, std::memory_order_relaxed);
-  }
-};
-
-DispatchState& State() {
-  static DispatchState state;
-  return state;
+// Resolved once; after that every call is one indirect call.
+internal::GatherF64Fn ActiveKernel() {
+  static const internal::GatherF64Fn kernel =
+      internal::Avx2Kernel() != nullptr ? internal::Avx2Kernel()
+                                        : internal::PortableKernel();
+  return kernel;
 }
 
 }  // namespace
 
-double GatherDotF64(const uint32_t* idx, const double* probs, size_t n,
-                    const double* x) {
-  return State().f64.load(std::memory_order_relaxed)(idx, probs, n, x);
+namespace internal {
+
+GatherF64Fn PortableKernel() { return &PortableGatherDotF64; }
+
+GatherF64Fn Avx2Kernel() {
+  return HostHasAvx2() ? CompiledAvx2Kernel() : nullptr;
 }
 
-double GatherDotF32(const uint32_t* idx, const float* probs, size_t n,
+}  // namespace internal
+
+double GatherDotF64(const uint32_t* idx, const double* probs, size_t n,
                     const double* x) {
-  return State().f32.load(std::memory_order_relaxed)(idx, probs, n, x);
+  return ActiveKernel()(idx, probs, n, x);
 }
 
 const char* DenseKernelIsa() {
-  return State().simd.load(std::memory_order_relaxed) ? "avx2" : "portable";
-}
-
-bool SimdEnabled() {
-  return State().simd.load(std::memory_order_relaxed);
-}
-
-void SetSimdEnabled(bool enabled) { State().Select(enabled); }
-
-bool F32KernelsEnabled() {
-  return State().use_f32.load(std::memory_order_relaxed);
-}
-
-void SetF32Kernels(bool enabled) {
-  State().use_f32.store(enabled, std::memory_order_relaxed);
+  return ActiveKernel() == internal::PortableKernel() ? "portable" : "avx2";
 }
 
 }  // namespace rtr::util

@@ -1,8 +1,8 @@
-// AVX2 bodies for util/dense_kernels.h. This is the ONE translation unit
+// AVX2 body for util/dense_kernels.h. This is the ONE translation unit
 // compiled with -mavx2 (see CMakeLists.txt) — and deliberately NOT -mfma:
 // the bit-identity contract requires separate mul + add, and without -mfma
 // the compiler cannot contract them into vfmadd either. On non-x86 builds
-// the file compiles to a null registration and dispatch stays portable.
+// the file compiles to a null accessor and dispatch stays portable.
 
 #include "util/dense_kernels.h"
 
@@ -34,32 +34,9 @@ double GatherDotF64Avx2(const uint32_t* idx, const double* probs, size_t n,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-double GatherDotF32Avx2(const uint32_t* idx, const float* probs, size_t n,
-                        const double* x) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    const __m256d vx = _mm256_i32gather_pd(x, vi, sizeof(double));
-    // Widen the four f32 probs to f64 before the multiply: accumulation
-    // stays in double, so only the stored prob precision differs from the
-    // f64 kernel.
-    const __m256d vp = _mm256_cvtps_pd(_mm_loadu_ps(probs + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(vp, vx));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  for (; i < n; ++i) lanes[i & 3] += static_cast<double>(probs[i]) * x[idx[i]];
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
 }  // namespace
 
-const GatherKernels* Avx2Kernels() {
-  static const GatherKernels kernels{&GatherDotF64Avx2, &GatherDotF32Avx2};
-  return &kernels;
-}
+GatherF64Fn CompiledAvx2Kernel() { return &GatherDotF64Avx2; }
 
 }  // namespace rtr::util::internal
 
@@ -67,7 +44,7 @@ const GatherKernels* Avx2Kernels() {
 
 namespace rtr::util::internal {
 
-const GatherKernels* Avx2Kernels() { return nullptr; }
+GatherF64Fn CompiledAvx2Kernel() { return nullptr; }
 
 }  // namespace rtr::util::internal
 

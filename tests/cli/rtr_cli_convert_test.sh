@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end test of `rtr_cli convert` (text <-> binary snapshot,
-# auto-detected by magic), including its error paths. Registered with ctest
+# auto-detected by magic), including its error paths, and of the --query
+# node-id parsing shared by `rank` and `topk`. Registered with ctest
 # by the root CMakeLists; $1 is the path to the rtr_cli binary.
 set -u
 
@@ -88,6 +89,41 @@ check "snapshot with trailing garbage exits 1" 1 $?
 
 "$CLI" convert "$TMP/g.txt" "$TMP/no-such-dir/x" > /dev/null 2>&1
 check "unwritable output exits 1" 1 $?
+
+# --- --query node ids (rank/topk) ----------------------------------------
+# A token must be a whole id below 2^32 - 1: no wrap-around, no silent 0.
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --k 2 > /dev/null 2>&1
+check "topk with a valid query node" 0 $?
+
+"$CLI" rank --graph "$TMP/g.txt" --query 0,2 --k 2 > /dev/null 2>&1
+check "rank with a two-node query" 0 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 4294967299 > "$TMP/wrap.txt" 2>&1
+check "topk refuses an id that wraps to node 3" 2 $?
+grep -q "bad --query" "$TMP/wrap.txt"
+check "wrapped id is reported as a bad --query" 0 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 4294967295 > /dev/null 2>&1
+check "topk refuses the invalid-node id" 2 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query abc > /dev/null 2>&1
+check "topk refuses a non-numeric id" 2 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1x > /dev/null 2>&1
+check "topk refuses trailing characters" 2 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query -1 > /dev/null 2>&1
+check "topk refuses a signed id" 2 $?
+
+"$CLI" rank --graph "$TMP/g.txt" --query 0,,2 > /dev/null 2>&1
+check "rank refuses an empty token" 2 $?
+
+"$CLI" rank --graph "$TMP/g.txt" --query 0, > /dev/null 2>&1
+check "rank refuses a trailing comma" 2 $?
+
+"$CLI" rank --graph "$TMP/g.txt" --query 4294967296 > /dev/null 2>&1
+check "rank refuses an id that wraps to node 0" 2 $?
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

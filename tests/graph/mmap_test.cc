@@ -1,13 +1,15 @@
 // Zero-copy mapped snapshot loading: bit-identity against the owning
-// loader, MapMode resolution, bulk-read fallback (with its counter), the
-// v3 f32 columns, and the copy-on-write contract of delta application on
-// a mapped base generation.
+// loader, MapMode resolution, bulk-read fallback (with its counter),
+// backward compatibility with v3 files (their f32 sections are skipped),
+// and the copy-on-write contract of delta application on a mapped base
+// generation.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "graph/snapshot.h"
 #include "graph/store.h"
 #include "obs/metrics.h"
+#include "util/checksum.h"
 #include "util/random.h"
 
 namespace rtr {
@@ -87,17 +90,12 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   ExpectColumnsEq(a.in_sources(), b.in_sources());
   ExpectColumnsEq(a.in_arc_weights(), b.in_arc_weights());
   ExpectColumnsEq(a.in_probs(), b.in_probs());
-  ASSERT_EQ(a.has_f32_probs(), b.has_f32_probs());
-  if (a.has_f32_probs()) {
-    ExpectColumnsEq(a.out_probs_f32(), b.out_probs_f32());
-    ExpectColumnsEq(a.in_probs_f32(), b.in_probs_f32());
-  }
 }
 
 std::string WriteSnapshot(const Graph& g, const std::string& name,
-                          const SnapshotWriteOptions& options = {}) {
+                          uint64_t generation = 0) {
   const std::string path = testing::TempDir() + "/" + name;
-  EXPECT_TRUE(SaveGraphSnapshotToFile(g, path, options).ok());
+  EXPECT_TRUE(SaveGraphSnapshotToFile(g, path, generation).ok());
   return path;
 }
 
@@ -146,10 +144,8 @@ TEST(MmapTest, PerNodeSpansMatchOnDanglingAndParallelNodes) {
 }
 
 TEST(MmapTest, GenerationComesFromTheHeader) {
-  SnapshotWriteOptions options;
-  options.generation = 41;
   const std::string path =
-      WriteSnapshot(TrickyGraph(), "mmap_gen.rtrsnap", options);
+      WriteSnapshot(TrickyGraph(), "mmap_gen.rtrsnap", /*generation=*/41);
   uint64_t generation = 0;
   StatusOr<Graph> mapped = LoadGraphMapped(path, &generation);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -302,46 +298,83 @@ TEST(MmapTest, CopyOfMappedGraphSharesTheMapping) {
   ExpectGraphsIdentical(TrickyGraph(), copy);
 }
 
-TEST(MmapTest, V3SnapshotRoundTripsTheF32Columns) {
-  Graph g = RandomGraph(9, 64);
-  SnapshotWriteOptions options;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(g, "mmap_v3.rtrsnap", options);
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
-  StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, kSnapshotF32Version);
-  EXPECT_TRUE(info->has_f32_probs);
+// Stores a fresh payload checksum (FNV-1a over everything after the
+// 64-byte header) into header bytes 48..55.
+void RestampChecksum(std::string* bytes) {
+  const uint64_t checksum =
+      util::Fnv1a64Words(bytes->data() + 64, bytes->size() - 64);
+  std::memcpy(bytes->data() + 48, &checksum, sizeof(checksum));
+}
 
-  for (Graph loaded : {LoadGraphSnapshotFromFile(path).value(),
-                       LoadGraphMapped(path).value()}) {
-    ASSERT_TRUE(loaded.has_f32_probs());
-    ASSERT_EQ(loaded.out_probs_f32().size(), g.out_probs().size());
-    ASSERT_EQ(loaded.in_probs_f32().size(), g.in_probs().size());
-    for (size_t i = 0; i < g.out_probs().size(); ++i) {
-      // Element-exact cast of the f64 column, per the v3 contract.
-      EXPECT_EQ(loaded.out_probs_f32()[i],
-                static_cast<float>(g.out_probs()[i]));
+// Rewrites the v2 bytes of `g`'s snapshot as the v3 file an older writer
+// produced for it: version word 3, then the out- and in-prob columns cast
+// to f32 appended as two 8-byte-padded sections, then a checksum over the
+// longer payload.
+std::string V3Twin(const Graph& g, const std::string& v2_bytes) {
+  std::string bytes = v2_bytes;
+  const uint32_t version = 3;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  for (std::span<const double> probs : {g.out_probs(), g.in_probs()}) {
+    for (double p : probs) {
+      const float f = static_cast<float>(p);
+      bytes.append(reinterpret_cast<const char*>(&f), sizeof(f));
     }
-    for (size_t i = 0; i < g.in_probs().size(); ++i) {
-      EXPECT_EQ(loaded.in_probs_f32()[i],
-                static_cast<float>(g.in_probs()[i]));
-    }
+    bytes.append((8 - bytes.size() % 8) % 8, '\0');
+  }
+  RestampChecksum(&bytes);
+  return bytes;
+}
+
+TEST(MmapTest, V3SnapshotLoadsBitIdenticalToItsV2Twin) {
+  // TrickyGraph has an odd arc count, so each f32 section carries padding.
+  ASSERT_EQ(TrickyGraph().num_arcs() % 2, 1u);
+  for (const Graph& g : {TrickyGraph(), RandomGraph(9, 64)}) {
+    const std::string v2_path =
+        WriteSnapshot(g, "mmap_v2.rtrsnap", /*generation=*/5);
+    const std::string v3_path = testing::TempDir() + "/mmap_v3.rtrsnap";
+    std::ofstream(v3_path, std::ios::binary | std::ios::trunc)
+        << V3Twin(g, ReadBytes(v2_path));
+
+    StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(v3_path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->version, 3u);
+
+    const Graph v2 = LoadGraphSnapshotFromFile(v2_path).value();
+    uint64_t bulk_generation = 0, mapped_generation = 0;
+    StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(v3_path,
+                                                     &bulk_generation);
+    ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
+    StatusOr<Graph> mapped = LoadGraphMapped(v3_path, &mapped_generation);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_TRUE(mapped->is_mapped());
+    ExpectGraphsIdentical(v2, *bulk);
+    ExpectGraphsIdentical(v2, *mapped);
+    EXPECT_EQ(bulk_generation, 5u);
+    EXPECT_EQ(mapped_generation, 5u);
   }
 }
 
-TEST(MmapTest, PopulateF32ProbsMatchesTheV3Columns) {
-  Graph g = RandomGraph(11, 64);
-  SnapshotWriteOptions options;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(g, "mmap_populate.rtrsnap", options);
-  Graph from_file = LoadGraphSnapshotFromFile(path).value();
+TEST(MmapTest, V3SnapshotMissingAnF32SectionIsRejected) {
+  const Graph g = TrickyGraph();
+  const std::string path = WriteSnapshot(g, "mmap_v3_cut.rtrsnap");
+  std::string bytes = V3Twin(g, ReadBytes(path));
+  // Drop the padded in-probs f32 section and restamp the checksum, so only
+  // the exact-size check stands between the file and a load.
+  bytes.resize(bytes.size() - (g.num_arcs() * sizeof(float) + 7) / 8 * 8);
+  RestampChecksum(&bytes);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 
-  EXPECT_FALSE(g.has_f32_probs());
-  g.PopulateF32Probs();
-  ASSERT_TRUE(g.has_f32_probs());
-  ExpectColumnsEq(g.out_probs_f32(), from_file.out_probs_f32());
-  ExpectColumnsEq(g.in_probs_f32(), from_file.in_probs_f32());
+  for (StatusOr<Graph> loaded :
+       {LoadGraphSnapshotFromFile(path), LoadGraphMapped(path)}) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
 }
 
 // The copy-on-write regression of the satellite list: applying a delta to
@@ -350,9 +383,8 @@ TEST(MmapTest, PopulateF32ProbsMatchesTheV3Columns) {
 // rebuild byte for byte.
 TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
   const Graph base = RandomGraph(21, 100);
-  SnapshotWriteOptions options;
-  options.generation = 7;
-  const std::string path = WriteSnapshot(base, "mmap_cow.rtrsnap", options);
+  const std::string path =
+      WriteSnapshot(base, "mmap_cow.rtrsnap", /*generation=*/7);
 
   StatusOr<std::unique_ptr<GraphStore>> store =
       GraphStore::Open(path, MapMode::kRequire);
@@ -392,33 +424,6 @@ TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
   StatusOr<Graph> from_scratch = ApplyDelta(owning_base, delta);
   ASSERT_TRUE(from_scratch.ok()) << from_scratch.status().ToString();
   ExpectGraphsIdentical(*from_scratch, *current);
-}
-
-// A v3 mapped base hands the f32 capability down through delta catch-up.
-TEST(MmapTest, ApplyOnMappedV3BaseKeepsF32Probs) {
-  const Graph base = RandomGraph(31, 60);
-  SnapshotWriteOptions options;
-  options.generation = 1;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(base, "mmap_cow_f32.rtrsnap",
-                                         options);
-  StatusOr<std::unique_ptr<GraphStore>> store =
-      GraphStore::Open(path, MapMode::kRequire);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Current()->has_f32_probs());
-
-  GraphDelta delta;
-  delta.base_generation = 1;
-  delta.added_arcs.push_back({2, 9, 4.0});
-  ASSERT_TRUE((*store)->Apply(delta).ok());
-
-  std::shared_ptr<const Graph> next = (*store)->Current();
-  ASSERT_TRUE(next->has_f32_probs());
-  EXPECT_FALSE(next->is_mapped());
-  for (size_t i = 0; i < next->out_probs().size(); ++i) {
-    EXPECT_EQ(next->out_probs_f32()[i],
-              static_cast<float>(next->out_probs()[i]));
-  }
 }
 
 }  // namespace

@@ -431,6 +431,8 @@ class RemoteGraphProcessorFanOutTest : public ::testing::Test {
     }
     ExpectNothingInFlight();
 
+    // Scripts the faulted query did not use must not fault the clean one.
+    for (net::FaultInjector& injector : injectors_) injector.Clear();
     auto clean = dist::DistributedTopK(*remote_, query, params_);
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
     ExpectSameAnswer(*clean, want);
@@ -491,7 +493,20 @@ TEST_F(RemoteGraphProcessorFanOutTest, ExhaustedShardAbandonsTheOthers) {
   // ends with a typed error; the batches still in flight on shards 0, 1
   // and 2 are abandoned without leaking a registration or a window byte,
   // and their late replies do not disturb the next query.
-  for (int i = 0; i < options_.max_attempts; ++i) {
+  //
+  // Connections the query can open on shard 0: the first one, one redial
+  // per later batch whose Send finds it already cut, and one per retry of
+  // the first batch. The active set bounds shard 0's batch count.
+  const size_t active_nodes =
+      core::TopKRoundTripRank(*graph_, {17}, params_)
+          .value()
+          .active_node_ids.size();
+  const size_t max_batches =
+      (active_nodes + dist::kMaxRecordsPerRequest - 1) /
+      dist::kMaxRecordsPerRequest;
+  const size_t max_connections =
+      max_batches + static_cast<size_t>(options_.max_attempts) - 1;
+  for (size_t i = 0; i < max_connections; ++i) {
     net::ConnectionScript cut;
     cut.write_faults = {{net::FaultOp::kNone, 0},
                         {net::FaultOp::kCloseBeforeWrite, 0}};

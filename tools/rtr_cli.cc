@@ -1,7 +1,7 @@
 // rtr — command-line interface to the RoundTripRank library.
 //
 //   rtr generate    --dataset bibnet|qlog [--seed N] [--out graph.txt]
-//   rtr convert     <in> <out> [--probs=f32]
+//   rtr convert     <in> <out>
 //   rtr info        <graph-or-delta-file>        (also: --graph graph.txt)
 //   rtr diff        <base> <next> <out.rtrdelta>
 //   rtr apply-delta <base> <delta> [<delta> ...] <out.rtrsnap>
@@ -23,13 +23,12 @@
 // Every --graph flag accepts either the text format of graph/io.h or the
 // binary snapshot format of graph/snapshot.h, auto-detected by magic;
 // `convert` translates between the two (a text input becomes a snapshot and
-// vice versa; `--probs=f32` writes a v3 snapshot that also carries float32
-// probability columns for the vectorized kernels). `serve --mmap` loads a
-// snapshot graph zero-copy via mmap (MapMode::kPrefer, with a logged
-// bulk-read fallback); without the flag, the RTR_GRAPH_MMAP env var decides. `generate` emits the synthetic datasets used by the
-// benchmark suite. `info` on a binary snapshot or delta file prints the
-// header (format version, generation, counts, checksum) without loading the
-// payload. `diff` computes the delta between two append-only graph
+// vice versa). `serve --mmap` loads a snapshot graph zero-copy via mmap
+// (MapMode::kPrefer, with a logged bulk-read fallback); without the flag,
+// the RTR_GRAPH_MMAP env var decides. `generate` emits the synthetic
+// datasets used by the benchmark suite. `info` on a binary snapshot or
+// delta file prints the header (format version, generation, counts,
+// checksum) without loading the payload. `diff` computes the delta between two append-only graph
 // versions; `apply-delta` replays delta files onto a base through a
 // graph::GraphStore and writes the resulting generation as a v2 snapshot.
 // `serve` replays a synthetic QLog query stream (or random queries on a
@@ -156,17 +155,46 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-std::vector<NodeId> ParseQuery(const std::string& text) {
-  std::vector<NodeId> nodes;
+// Parses the node id at the start of `s` and returns one past its last
+// digit, or null when there is none. strtoull alone skips whitespace,
+// accepts a sign and wraps "-1" to ULLONG_MAX, and the NodeId cast would
+// alias 2^32 + 3 to node 3: require a digit first and refuse ids that do
+// not fit below kInvalidNode. The caller decides what may follow.
+const char* ParseNodeIdPrefix(const char* s, NodeId* node) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return nullptr;
+  char* end = nullptr;
+  // Overflow saturates at ULLONG_MAX, which the range check also refuses.
+  const unsigned long long value = std::strtoull(s, &end, 10);
+  if (value >= rtr::kInvalidNode) return nullptr;
+  *node = static_cast<NodeId>(value);
+  return end;
+}
+
+// Parses `--query 1,2,3`: every comma-separated token must be a whole node
+// id. On an empty, non-numeric or out-of-range token prints a usage error
+// and returns false (the caller exits 2). A missing flag is an empty query.
+bool ParseQueryFlag(const Flags& flags, std::vector<NodeId>* query) {
+  const std::string text = flags.GetString("query", "");
+  query->clear();
+  if (text.empty()) return true;
   size_t start = 0;
-  while (start < text.size()) {
+  while (true) {
     size_t comma = text.find(',', start);
     if (comma == std::string::npos) comma = text.size();
-    nodes.push_back(static_cast<NodeId>(
-        std::strtoul(text.substr(start, comma - start).c_str(), nullptr, 10)));
+    const std::string token = text.substr(start, comma - start);
+    NodeId node = 0;
+    const char* end = ParseNodeIdPrefix(token.c_str(), &node);
+    if (end == nullptr || *end != '\0') {
+      std::fprintf(stderr,
+                   "bad --query '%s' (want comma-separated node ids below "
+                   "%u)\n",
+                   text.c_str(), rtr::kInvalidNode);
+      return false;
+    }
+    query->push_back(node);
+    if (comma == text.size()) return true;
     start = comma + 1;
   }
-  return nodes;
 }
 
 Graph LoadGraphOrDie(const Flags& flags) {
@@ -222,37 +250,12 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// `rtr convert <in> <out> [--probs=f32]`: translates between the text and
-// binary snapshot graph formats. The input format is auto-detected by magic;
-// the output is written in the other format. `--probs=f32` asks for a v3
-// snapshot carrying the derived float32 probability columns alongside the
-// exact f64 ones (see graph/snapshot.h); it only applies when the output is
-// a snapshot.
+// `rtr convert <in> <out>`: translates between the text and binary
+// snapshot graph formats. The input format is auto-detected by magic; the
+// output is written in the other format (snapshots as v2).
 int CmdConvert(int argc, char** argv) {
-  bool f32_probs = false;
-  int positional = argc;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--probs=f32") {
-      f32_probs = true;
-    } else if (arg == "--probs" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value == "f32") {
-        f32_probs = true;
-      } else if (value != "f64") {
-        std::fprintf(stderr, "unknown --probs value '%s' (want f32 or f64)\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (arg == "--probs=f64") {
-      f32_probs = false;
-    } else {
-      positional = i;
-      break;
-    }
-  }
-  if (argc != 4 && (positional != argc || argc < 4)) {
-    std::fprintf(stderr, "usage: rtr convert <in> <out> [--probs=f32]\n");
+  if (argc != 4) {
+    std::fprintf(stderr, "usage: rtr convert <in> <out>\n");
     return 2;
   }
   const std::string in_path = argv[2];
@@ -263,13 +266,6 @@ int CmdConvert(int argc, char** argv) {
                  is_snapshot.status().ToString().c_str());
     return 1;
   }
-  if (*is_snapshot && f32_probs) {
-    std::fprintf(stderr,
-                 "--probs=f32 needs a snapshot output (input %s is already a "
-                 "snapshot, so the output is text)\n",
-                 in_path.c_str());
-    return 2;
-  }
   rtr::StatusOr<Graph> graph = *is_snapshot
                                    ? rtr::LoadGraphSnapshotFromFile(in_path)
                                    : rtr::LoadGraphFromFile(in_path);
@@ -278,11 +274,9 @@ int CmdConvert(int argc, char** argv) {
                  graph.status().ToString().c_str());
     return 1;
   }
-  rtr::SnapshotWriteOptions options;
-  options.f32_probs = f32_probs;
-  rtr::Status status =
-      *is_snapshot ? rtr::SaveGraphToFile(*graph, out_path)
-                   : rtr::SaveGraphSnapshotToFile(*graph, out_path, options);
+  rtr::Status status = *is_snapshot
+                           ? rtr::SaveGraphToFile(*graph, out_path)
+                           : rtr::SaveGraphSnapshotToFile(*graph, out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "cannot write graph: %s\n",
                  status.ToString().c_str());
@@ -291,8 +285,7 @@ int CmdConvert(int argc, char** argv) {
   std::printf("%s -> %s: %zu nodes, %zu arcs (%s -> %s)\n", in_path.c_str(),
               out_path.c_str(), graph->num_nodes(), graph->num_arcs(),
               *is_snapshot ? "snapshot" : "text",
-              *is_snapshot ? "text" : f32_probs ? "snapshot v3 (f64+f32 probs)"
-                                                : "snapshot");
+              *is_snapshot ? "text" : "snapshot");
   return 0;
 }
 
@@ -361,7 +354,6 @@ int CmdInfoPath(const std::string& path) {
                 static_cast<unsigned long long>(info->num_types),
                 static_cast<unsigned long long>(info->num_nodes),
                 static_cast<unsigned long long>(info->num_arcs));
-    std::printf("probs: %s\n", info->has_f32_probs ? "f64 + f32" : "f64");
     std::printf("payload checksum: %016llx\n",
                 static_cast<unsigned long long>(info->payload_checksum));
     return 0;
@@ -466,7 +458,8 @@ int CmdApplyDelta(int argc, char** argv) {
 
 int CmdRank(const Flags& flags) {
   Graph graph = LoadGraphOrDie(flags);
-  std::vector<NodeId> query = ParseQuery(flags.GetString("query", ""));
+  std::vector<NodeId> query;
+  if (!ParseQueryFlag(flags, &query)) return 2;
   if (query.empty()) {
     std::fprintf(stderr, "missing --query\n");
     return 2;
@@ -531,7 +524,8 @@ int CmdRank(const Flags& flags) {
 
 int CmdTopK(const Flags& flags) {
   Graph graph = LoadGraphOrDie(flags);
-  std::vector<NodeId> query = ParseQuery(flags.GetString("query", ""));
+  std::vector<NodeId> query;
+  if (!ParseQueryFlag(flags, &query)) return 2;
   if (query.empty()) {
     std::fprintf(stderr, "missing --query\n");
     return 2;
@@ -745,22 +739,16 @@ int CmdServe(const Flags& flags) {
       char* s = line;
       while (*s == ' ' || *s == '\t') ++s;
       if (*s == '\0' || *s == '\n' || *s == '\r' || *s == '#') continue;
-      // strtoull skips any whitespace, accepts a sign and wraps "-1" to
-      // ULLONG_MAX, and the NodeId cast would alias 2^32 + 3 to node 3:
-      // require a digit first and refuse ids that do not fit.
-      char* end = s;
-      unsigned long long node = 0;
-      if (std::isdigit(static_cast<unsigned char>(*s))) {
-        node = std::strtoull(s, &end, 10);
-      }
-      if (end == s || node >= rtr::kInvalidNode) {
+      NodeId node = 0;
+      const char* end = ParseNodeIdPrefix(s, &node);
+      if (end == nullptr) {
         std::fprintf(stderr, "%s:%d: expected a node id below %u\n",
                      replay_path.c_str(), lineno, rtr::kInvalidNode);
         std::fclose(f);
         return 2;
       }
       double deadline = default_deadline_ms;
-      char* rest = end;
+      const char* rest = end;
       while (*rest == ' ' || *rest == '\t') ++rest;
       if (*rest != '\0' && *rest != '\n' && *rest != '\r' && *rest != '#') {
         char* dead_end = nullptr;
@@ -772,7 +760,7 @@ int CmdServe(const Flags& flags) {
           return 2;
         }
       }
-      replay.push_back({static_cast<NodeId>(node), deadline});
+      replay.push_back({node, deadline});
     }
     std::fclose(f);
     if (replay.empty()) {
@@ -1127,11 +1115,8 @@ void PrintUsage(std::FILE* out) {
   std::fprintf(out,
                "usage: rtr <generate|convert|info|diff|apply-delta|rank|"
                "topk|serve|gp-serve> [--flag value ...]\n"
-               "       rtr convert <in> <out> [--probs=f32]\n"
-               "                                (text <-> binary snapshot, "
-               "auto-detected;\n"
-               "                                 --probs=f32 writes a v3 "
-               "snapshot with f32 columns)\n"
+               "       rtr convert <in> <out>   (text <-> binary snapshot, "
+               "auto-detected)\n"
                "       rtr info <file>          (snapshot/delta header, or "
                "text graph summary)\n"
                "       rtr diff <base> <next> <out.rtrdelta>\n"
