@@ -120,41 +120,61 @@ datasets::BibNetConfig SmallBibNetConfig() {
 // Every gather FRank and TRank make is one in-row (FRank) or out-row
 // (TRank) of the graph against the current iterate. So the two bodies
 // agree on every rank iff they agree bit for bit on every row of both
-// directions — checked against a random x and against the converged
-// F-Rank and T-Rank vectors the power iterations actually feed them.
+// directions. Checks `portable` against `other` on every row of g for x.
+void ExpectRowsBitIdentical(const Graph& g,
+                            util::internal::GatherF64Fn portable,
+                            util::internal::GatherF64Fn other,
+                            const std::vector<double>& x,
+                            const std::string& label) {
+  ASSERT_EQ(x.size(), g.num_nodes()) << label;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::span<const NodeId> in = g.in_sources(v);
+    const std::span<const double> in_p = g.in_probs(v);
+    EXPECT_EQ(portable(in.data(), in_p.data(), in.size(), x.data()),
+              other(in.data(), in_p.data(), in.size(), x.data()))
+        << label << " in-row " << v;
+    const std::span<const NodeId> out = g.out_targets(v);
+    const std::span<const double> out_p = g.out_probs(v);
+    EXPECT_EQ(portable(out.data(), out_p.data(), out.size(), x.data()),
+              other(out.data(), out_p.data(), out.size(), x.data()))
+        << label << " out-row " << v;
+  }
+}
+
+// The portable and AVX2 bodies side by side on every row of both
+// directions, against a random iterate.
 TEST(DenseKernelsTest, PortableAndSimdAreBitIdentical) {
   const util::internal::GatherF64Fn avx2 = util::internal::Avx2Kernel();
   if (avx2 == nullptr) GTEST_SKIP() << "this host has no AVX2 body";
-  const util::internal::GatherF64Fn portable =
-      util::internal::PortableKernel();
 
+  const datasets::BibNet net =
+      datasets::BibNet::Generate(SmallBibNetConfig()).value();
+  const Graph& g = net.graph();
+  std::vector<double> random_x(g.num_nodes());
+  Rng rng(17);
+  for (double& v : random_x) v = rng.NextDouble() * 2.0 - 1.0;
+  ExpectRowsBitIdentical(g, util::internal::PortableKernel(), avx2, random_x,
+                         "random x");
+}
+
+// F-Rank and T-Rank do not depend on which body the dispatch picked: the
+// portable body and the dispatched GatherDotF64 (AVX2 where this CPU has
+// it) agree bit for bit on every row against the converged F-Rank and
+// T-Rank vectors the power iterations actually feed them. On a host
+// without AVX2 the dispatch is the portable body and this holds trivially.
+TEST(DenseKernelsTest, FRankIsBitIdenticalAcrossSimdToggle) {
   const datasets::BibNet net =
       datasets::BibNet::Generate(SmallBibNetConfig()).value();
   const Graph& g = net.graph();
   const Query query = {0, 42};
 
-  std::vector<double> random_x(g.num_nodes());
-  Rng rng(17);
-  for (double& v : random_x) v = rng.NextDouble() * 2.0 - 1.0;
   std::vector<double> f_rank, t_rank, scratch;
   ranking::FRankInto(g, query, {}, &f_rank, &scratch);
   ranking::TRankInto(g, query, {}, &t_rank, &scratch);
-
-  for (const std::vector<double>* x : {&random_x, &f_rank, &t_rank}) {
-    ASSERT_EQ(x->size(), g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::span<const NodeId> in = g.in_sources(v);
-      const std::span<const double> in_p = g.in_probs(v);
-      EXPECT_EQ(portable(in.data(), in_p.data(), in.size(), x->data()),
-                avx2(in.data(), in_p.data(), in.size(), x->data()))
-          << "in-row " << v;
-      const std::span<const NodeId> out = g.out_targets(v);
-      const std::span<const double> out_p = g.out_probs(v);
-      EXPECT_EQ(portable(out.data(), out_p.data(), out.size(), x->data()),
-                avx2(out.data(), out_p.data(), out.size(), x->data()))
-          << "out-row " << v;
-    }
-  }
+  ExpectRowsBitIdentical(g, util::internal::PortableKernel(),
+                         &util::GatherDotF64, f_rank, "f-rank");
+  ExpectRowsBitIdentical(g, util::internal::PortableKernel(),
+                         &util::GatherDotF64, t_rank, "t-rank");
 }
 
 }  // namespace
