@@ -6,18 +6,95 @@
 #include "util/dense_kernels.h"
 #include "util/logging.h"
 
+namespace rtr::core {
 namespace {
 
-// Prefetch distance for the Stage-II refinement sweeps: the seen-node order
-// is query-dependent (BCA discovery order), so the hardware prefetcher
-// cannot predict the adjacency rows; software prefetch of the row ~8 nodes
-// ahead hides the column-load latency. The offsets array itself is dense
-// and hot, so reading offsets[w] up front costs nothing.
+// Prefetch distance of the compaction pass: the seen-node order is
+// query-dependent (BCA discovery order), so the hardware prefetcher cannot
+// predict the adjacency rows; software prefetch of the row ~8 nodes ahead
+// hides the column-load latency. The offsets array itself is dense and
+// hot, so reading offsets[w] up front costs nothing.
 constexpr size_t kRefinePrefetchDistance = 8;
 
-}  // namespace
+// Builds the workspace's compact Stage II rows for `nodes` from the
+// adjacency columns (offsets, ends, probs) of the direction the sweeps
+// read: row j keeps nodes[j]'s arcs to nodes with is_seen() in the
+// original row order, and sums the probability of the others into
+// refine_unseen_mass[j]. Valid for as long as the seen set is fixed, which
+// holds for the whole of one Refine.
+template <typename IsSeen>
+void CompactSeenRows(const std::vector<NodeId>& nodes, const size_t* offsets,
+                     const NodeId* ends, const double* probs, IsSeen is_seen,
+                     QueryWorkspace* ws) {
+  std::vector<size_t>& row_start = ws->refine_offsets;
+  std::vector<NodeId>& neighbors = ws->refine_neighbors;
+  std::vector<double>& arc_probs = ws->refine_probs;
+  std::vector<double>& unseen_mass = ws->refine_unseen_mass;
+  row_start.clear();
+  neighbors.clear();
+  arc_probs.clear();
+  unseen_mass.clear();
+  row_start.push_back(0);
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    if (j + kRefinePrefetchDistance < nodes.size()) {
+      const size_t row = offsets[nodes[j + kRefinePrefetchDistance]];
+      util::PrefetchRead(ends + row);
+      util::PrefetchRead(probs + row);
+    }
+    const NodeId v = nodes[j];
+    double mass = 0.0;
+    for (size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (is_seen(ends[i])) {
+        neighbors.push_back(ends[i]);
+        arc_probs.push_back(probs[i]);
+      } else {
+        mass += probs[i];
+      }
+    }
+    row_start.push_back(neighbors.size());
+    unseen_mass.push_back(mass);
+  }
+}
 
-namespace rtr::core {
+// One Gauss-Seidel Stage II sweep (Eqs. 17-18) over the compact rows of
+// `nodes`: a node's bounds come from its seen neighbours' current bounds,
+// and every unseen neighbour contributes `unseen_upper` to the upper sum
+// only, so they enter as one term. Returns the summed bound movement.
+double SweepCompactRows(const std::vector<NodeId>& nodes,
+                        const QueryWorkspace& ws, double one_minus_alpha,
+                        double unseen_upper, std::vector<double>& lower,
+                        std::vector<double>& upper) {
+  const size_t* row_start = ws.refine_offsets.data();
+  const NodeId* neighbors = ws.refine_neighbors.data();
+  const double* arc_probs = ws.refine_probs.data();
+  const double* unseen_mass = ws.refine_unseen_mass.data();
+  const double* teleport = ws.teleport.data();
+  double change = 0.0;
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    double lo_sum = 0.0;
+    double up_sum = 0.0;
+    for (size_t i = row_start[j]; i < row_start[j + 1]; ++i) {
+      lo_sum += arc_probs[i] * lower[neighbors[i]];
+      up_sum += arc_probs[i] * upper[neighbors[i]];
+    }
+    up_sum += unseen_mass[j] * unseen_upper;
+    const NodeId v = nodes[j];
+    const double lo = teleport[v] + one_minus_alpha * lo_sum;
+    const double up = teleport[v] + one_minus_alpha * up_sum;
+    if (lo > lower[v]) {
+      change += lo - lower[v];
+      lower[v] = lo;
+    }
+    if (up < upper[v]) {
+      change += upper[v] - up;
+      upper[v] = up;
+    }
+    if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
+  }
+  return change;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // FRankBounder
@@ -75,49 +152,16 @@ void FRankBounder::InitializeBounds() {
 }
 
 void FRankBounder::RefineStage2() {
-  const double one_minus_alpha = 1.0 - options_.alpha;
+  // After InitializeBounds, f_lower > 0 holds exactly for BCA-seen nodes,
+  // and BCA does not run during refinement.
   const std::vector<NodeId>& nodes = bca_.seen();
-  const std::vector<double>& teleport = ws_->teleport;
-  std::vector<double>& lower = ws_->f_lower;
-  std::vector<double>& upper = ws_->f_upper;
-  const size_t* in_off = graph_.in_offsets().data();
-  const NodeId* in_src = graph_.in_sources().data();
-  const double* in_probs = graph_.in_probs().data();
+  CompactSeenRows(nodes, graph_.in_offsets().data(),
+                  graph_.in_sources().data(), graph_.in_probs().data(),
+                  [this](NodeId u) { return IsSeen(u); }, ws_);
   for (int sweep = 0; sweep < options_.max_refine_sweeps; ++sweep) {
-    double change = 0.0;
-    for (size_t j = 0; j < nodes.size(); ++j) {
-      if (j + kRefinePrefetchDistance < nodes.size()) {
-        const NodeId w = nodes[j + kRefinePrefetchDistance];
-        const size_t row = in_off[w];
-        util::PrefetchRead(in_src + row);
-        util::PrefetchRead(in_probs + row);
-        util::PrefetchRead(&lower[w]);
-      }
-      const NodeId v = nodes[j];
-      double lo_sum = 0.0;
-      double up_sum = 0.0;
-      auto sources = graph_.in_sources(v);
-      auto probs = graph_.in_probs(v);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (IsSeen(sources[i])) {
-          lo_sum += probs[i] * lower[sources[i]];
-          up_sum += probs[i] * upper[sources[i]];
-        } else {
-          up_sum += probs[i] * unseen_upper_;
-        }
-      }
-      double lo = teleport[v] + one_minus_alpha * lo_sum;
-      double up = teleport[v] + one_minus_alpha * up_sum;
-      if (lo > lower[v]) {
-        change += lo - lower[v];
-        lower[v] = lo;
-      }
-      if (up < upper[v]) {
-        change += upper[v] - up;
-        upper[v] = up;
-      }
-      if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
-    }
+    const double change =
+        SweepCompactRows(nodes, *ws_, 1.0 - options_.alpha, unseen_upper_,
+                         ws_->f_lower, ws_->f_upper);
     if (change < options_.refine_tolerance) break;
   }
 }
@@ -243,50 +287,16 @@ void TRankBounder::Refine() {
 }
 
 void TRankBounder::RefineSweeps(int sweeps) {
-  const double one_minus_alpha = 1.0 - options_.alpha;
+  // t_in_seen changes only in Expand, so S_t is fixed for every sweep.
   const std::vector<NodeId>& nodes = ws_->t_seen;
-  const std::vector<double>& teleport = ws_->teleport;
   const std::vector<uint8_t>& in_seen = ws_->t_in_seen;
-  std::vector<double>& lower = ws_->t_lower;
-  std::vector<double>& upper = ws_->t_upper;
-  const size_t* out_off = graph_.out_offsets().data();
-  const NodeId* out_tgt = graph_.out_targets().data();
-  const double* out_probs = graph_.out_probs().data();
+  CompactSeenRows(nodes, graph_.out_offsets().data(),
+                  graph_.out_targets().data(), graph_.out_probs().data(),
+                  [&in_seen](NodeId u) { return in_seen[u] != 0; }, ws_);
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    double change = 0.0;
-    for (size_t j = 0; j < nodes.size(); ++j) {
-      if (j + kRefinePrefetchDistance < nodes.size()) {
-        const NodeId w = nodes[j + kRefinePrefetchDistance];
-        const size_t row = out_off[w];
-        util::PrefetchRead(out_tgt + row);
-        util::PrefetchRead(out_probs + row);
-        util::PrefetchRead(&lower[w]);
-      }
-      const NodeId v = nodes[j];
-      double lo_sum = 0.0;
-      double up_sum = 0.0;
-      auto targets = graph_.out_targets(v);
-      auto probs = graph_.out_probs(v);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        if (in_seen[targets[i]]) {
-          lo_sum += probs[i] * lower[targets[i]];
-          up_sum += probs[i] * upper[targets[i]];
-        } else {
-          up_sum += probs[i] * unseen_upper_;
-        }
-      }
-      double lo = teleport[v] + one_minus_alpha * lo_sum;
-      double up = teleport[v] + one_minus_alpha * up_sum;
-      if (lo > lower[v]) {
-        change += lo - lower[v];
-        lower[v] = lo;
-      }
-      if (up < upper[v]) {
-        change += upper[v] - up;
-        upper[v] = up;
-      }
-      if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
-    }
+    const double change =
+        SweepCompactRows(nodes, *ws_, 1.0 - options_.alpha, unseen_upper_,
+                         ws_->t_lower, ws_->t_upper);
     RecomputeUnseenUpper();
     if (change < options_.refine_tolerance) break;
   }

@@ -18,10 +18,12 @@ namespace rtr::core {
 //  * Expand() — Stage I neighborhood growth. Amortized O(new work): BCA
 //    pushes on the F side, border-frontier absorption on the T side.
 //  * Refine() — bound (re)initialization plus Stage II iterative refinement
-//    (Eqs. 17-18) to a fixpoint. Costs O(|neighborhood|); the 2SBound driver
-//    therefore calls it only when it is about to evaluate the top-K
-//    conditions. Bounds are valid at all times — skipping refinement only
-//    leaves them looser (never wrong).
+//    (Eqs. 17-18) to a fixpoint. One pass over the seen nodes' adjacency
+//    rows compacts them to their seen-to-seen arcs plus one unseen-mass
+//    term per node, so each sweep costs O(seen-to-seen arcs + |S|); the
+//    2SBound driver still calls it only when it is about to evaluate the
+//    top-K conditions. Bounds are valid at all times — skipping refinement
+//    only leaves them looser (never wrong).
 //
 // All dense per-query state (teleport, lower/upper bound arrays, seen
 // flags, the border list) lives in a QueryWorkspace. Both bounders of one

@@ -232,6 +232,18 @@ class QueryWorkspace {
   std::vector<NodeId> t_fresh;
   StampedFlags t_pending;        // per-Expand in-neighbor dedup
 
+  // --- Stage II compact rows (both bounders) ---------------------------
+  // The seen-to-seen sub-adjacency of the refining bounder's seen list:
+  // row j holds nodes[j]'s arcs to seen nodes in the graph's row order,
+  // plus the summed probability of its arcs to unseen nodes. Every Refine
+  // rebuilds it from empty before its first sweep and nothing reads it
+  // afterwards, so BeginQuery leaves it alone and the two bounders can
+  // share it.
+  std::vector<size_t> refine_offsets;      // |S| + 1 row starts
+  std::vector<NodeId> refine_neighbors;    // seen endpoints only
+  std::vector<double> refine_probs;        // parallel to refine_neighbors
+  std::vector<double> refine_unseen_mass;  // per row
+
   // --- 2SBound driver (twosbound.cc) ------------------------------------
   struct Candidate {
     NodeId node;

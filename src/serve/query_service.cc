@@ -497,6 +497,10 @@ void QueryService::Execute(const Query& query, const core::TopKParams& params,
   response->status = RunEngine(query, params, *pinned.graph, cluster,
                                &response->topk, workspace);
   *engine_millis = engine_timer.ElapsedMillis();
+  // The id list only feeds DistributedTopK's GP replay. Responses and cache
+  // entries keep the active-set counts, not the list, so what a client
+  // retains does not grow with the active set.
+  response->topk.active_node_ids.clear();
   if (options_.enable_cache && response->status.ok()) {
     cache_.Insert(key, response->topk);
   }

@@ -112,6 +112,8 @@ struct ServeResponse {
   // requests that a never-started service still holds at Shutdown complete
   // with kUnavailable (see Shutdown).
   Status status;
+  // Entries, bounds, convergence and active-set counts; active_node_ids is
+  // always empty (the list is DistributedTopK's replay input only).
   core::TopKResult topk;
   bool cache_hit = false;
   // Graph generation the query was answered on (graph/store.h; 0 for

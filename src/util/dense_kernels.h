@@ -38,8 +38,8 @@ double GatherDotF64(const uint32_t* idx, const double* probs, size_t n,
 const char* DenseKernelIsa();
 
 // Read-prefetch hint with low temporal locality; no-op where unsupported.
-// Used by the Stage-II refinement sweeps to hide the adjacency-column
-// latency of the next few nodes.
+// Used by the Stage-II compaction pass to hide the adjacency-column latency
+// of the next few nodes.
 inline void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);

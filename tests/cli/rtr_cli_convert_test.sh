@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end test of `rtr_cli convert` (text <-> binary snapshot,
-# auto-detected by magic), including its error paths, and of the --query
-# node-id parsing shared by `rank` and `topk`. Registered with ctest
-# by the root CMakeLists; $1 is the path to the rtr_cli binary.
+# auto-detected by magic), including its error paths, of the --query
+# node-id parsing shared by `rank` and `topk`, and of numeric flag values.
+# Registered with ctest by the root CMakeLists; $1 is the path to the
+# rtr_cli binary.
 set -u
 
 CLI="${1:?usage: rtr_cli_convert_test.sh <path-to-rtr_cli>}"
@@ -124,6 +125,33 @@ check "rank refuses a trailing comma" 2 $?
 
 "$CLI" rank --graph "$TMP/g.txt" --query 4294967296 > /dev/null 2>&1
 check "rank refuses an id that wraps to node 0" 2 $?
+
+# --- numeric flags ---------------------------------------------------------
+# A numeric value must be one whole token; the error names the flag.
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --k 2x > "$TMP/k.txt" 2>&1
+check "topk refuses --k with trailing characters" 2 $?
+grep -q "bad --k '2x'" "$TMP/k.txt"
+check "bad --k is reported by name" 0 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --eps abc > "$TMP/eps.txt" 2>&1
+check "topk refuses a non-numeric --eps" 2 $?
+grep -q "bad --eps 'abc'" "$TMP/eps.txt"
+check "bad --eps is reported by name" 0 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --eps inf > /dev/null 2>&1
+check "topk refuses a non-finite --eps" 2 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --k 99999999999 > /dev/null 2>&1
+check "topk refuses an out-of-range --k" 2 $?
+
+"$CLI" topk --graph "$TMP/g.txt" --query 1 --k 2 --eps 1e-3 > /dev/null 2>&1
+check "topk accepts well-formed --k and --eps" 0 $?
+
+"$CLI" serve --graph "$TMP/g.txt" --workers 3q > "$TMP/workers.txt" 2>&1
+check "serve refuses --workers with trailing characters" 2 $?
+grep -q "bad --workers '3q'" "$TMP/workers.txt"
+check "bad --workers is reported by name" 0 $?
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

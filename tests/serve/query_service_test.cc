@@ -246,6 +246,40 @@ TEST(QueryServiceTest, RepeatQueryHitsCacheThenEvicts) {
   service.Shutdown();
 }
 
+// A response carries the engine's entries, bounds, convergence and
+// active-set counts, but never the active id list (only the distributed
+// replay consumes it), on the miss and on the cache hit alike.
+TEST(QueryServiceTest, MissAndHitMatchDirectEngineWithoutActiveIds) {
+  const Graph& graph = SharedNet().graph();
+  NodeId q = 0;
+  while (graph.out_degree(q) == 0) ++q;
+  const core::TopKResult direct =
+      core::TopKRoundTripRank(graph, {q}, DefaultParams()).value();
+  ASSERT_FALSE(direct.active_node_ids.empty());
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  QueryService service(SharedGraphPtr(), options);
+  ASSERT_TRUE(service.Start().ok());
+  StatusOr<ServeResponse> miss = service.Call({{q}, DefaultParams()});
+  StatusOr<ServeResponse> hit = service.Call({{q}, DefaultParams()});
+  service.Shutdown();
+  ASSERT_TRUE(miss.ok());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_FALSE(miss->cache_hit);
+  EXPECT_TRUE(hit->cache_hit);
+  for (const ServeResponse* response : {&*miss, &*hit}) {
+    ASSERT_TRUE(response->status.ok()) << response->status.ToString();
+    ExpectBitIdentical(response->topk, direct, q);
+    EXPECT_EQ(response->topk.converged, direct.converged);
+    EXPECT_EQ(response->topk.rounds, direct.rounds);
+    EXPECT_EQ(response->topk.active_nodes, direct.active_nodes);
+    EXPECT_EQ(response->topk.active_arcs, direct.active_arcs);
+    EXPECT_EQ(response->topk.active_set_bytes, direct.active_set_bytes);
+    EXPECT_TRUE(response->topk.active_node_ids.empty());
+  }
+}
+
 TEST(QueryServiceTest, ChangedParamsBypassTheCache) {
   const Graph& graph = SharedNet().graph();
   std::vector<NodeId> nodes = MixedQueryStream(graph, 1, 1, 13);

@@ -62,7 +62,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -131,13 +134,34 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric values must be one whole token: `--k 2x`, `--eps abc`, an
+  // out-of-range int or a non-finite double exits 2 naming the flag rather
+  // than running with a truncated or zeroed value.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (!StartsNumber(text) || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value)) {
+      BadValue(key, it->second, "a finite number");
+    }
+    return value;
   }
   int GetInt(const std::string& key, int fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (!StartsNumber(text) || *end != '\0' || errno == ERANGE ||
+        value < INT_MIN || value > INT_MAX) {
+      BadValue(key, it->second, "an integer");
+    }
+    return static_cast<int>(value);
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
   bool GetBool(const std::string& key) const {
@@ -147,6 +171,19 @@ class Flags {
   }
 
  private:
+  // strtod/strtol skip leading whitespace and would accept " 2".
+  static bool StartsNumber(const char* text) {
+    return *text != '\0' && !std::isspace(static_cast<unsigned char>(*text));
+  }
+
+  [[noreturn]] static void BadValue(const std::string& key,
+                                    const std::string& value,
+                                    const char* want) {
+    std::fprintf(stderr, "bad --%s '%s' (want %s)\n", key.c_str(),
+                 value.c_str(), want);
+    std::exit(2);
+  }
+
   static bool IsBooleanFlag(const char* name) {
     return std::strcmp(name, "mmap") == 0 ||
            std::strcmp(name, "scheduler") == 0;
