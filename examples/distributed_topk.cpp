@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
               graph.num_nodes(), graph.num_arcs(),
               cluster.total_stored_bytes() / 1e6, num_gps);
   for (const rtr::dist::GraphProcessor& gp : cluster.gps()) {
-    std::printf("  GP %d stores %zu nodes (%.1f MB)\n", gp.id(),
+    std::printf("  GP %d serves %zu nodes (%.1f MB of columns)\n", gp.id(),
                 gp.num_owned_nodes(), gp.stored_bytes() / 1e6);
   }
 

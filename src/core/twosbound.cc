@@ -19,6 +19,14 @@ inline int64_t TraceNowNanos() {
       .count();
 }
 
+// Stage II stops once a sweep moves the bounds by less than a small
+// fraction of the certificate slack: the bounds contract by only about
+// (1 - alpha) per sweep, so an absolute tolerance near machine precision is
+// never met within the sweep cap.
+double RefineTolerance(const TopKParams& params) {
+  return 0.01 * params.epsilon;
+}
+
 // Builds the scheme-specific bounder options.
 FBounderOptions MakeFOptions(const TopKParams& params) {
   FBounderOptions options;
@@ -28,6 +36,7 @@ FBounderOptions MakeFOptions(const TopKParams& params) {
                   params.scheme == TopKScheme::kGPlusS;
   options.paper_unseen_bound = !weakened;
   options.stage2 = !weakened;
+  options.refine_tolerance = RefineTolerance(params);
   return options;
 }
 
@@ -38,6 +47,7 @@ TBounderOptions MakeTOptions(const TopKParams& params) {
   bool weakened = params.scheme == TopKScheme::kSarkar ||
                   params.scheme == TopKScheme::kGPlusS;
   options.stage2_fixpoint = !weakened;
+  options.refine_tolerance = RefineTolerance(params);
   return options;
 }
 

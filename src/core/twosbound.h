@@ -40,12 +40,13 @@ struct TopKParams {
 };
 
 // Wire/storage size of one active-set node record (id + 4 bounds) and one
-// arc record (endpoint + weight + prob). Shared by the local active-set
-// accounting and the distributed replay so their byte counts agree.
+// arc record (endpoint + transition probability). Shared by the local
+// active-set accounting and the distributed replay so their byte counts
+// agree.
 inline constexpr size_t kActiveNodeRecordBytes =
     sizeof(NodeId) + 4 * sizeof(double);
 inline constexpr size_t kActiveArcRecordBytes =
-    sizeof(NodeId) + 2 * sizeof(double);
+    sizeof(NodeId) + sizeof(double);
 
 // One ranked result with its RoundTripRank bounds at termination.
 struct TopKEntry {

@@ -13,34 +13,18 @@
 namespace rtr::dist {
 
 GraphProcessor::GraphProcessor(const Graph& g, int id, int num_gps)
-    : id_(id), num_gps_(num_gps) {
+    : graph_(&g), id_(id), num_gps_(num_gps) {
   CHECK_GE(id, 0);
   CHECK_LT(id, num_gps);
+  size_t arcs = 0;
   for (NodeId v = static_cast<NodeId>(id); v < g.num_nodes();
        v += static_cast<NodeId>(num_gps)) {
     owned_nodes_.push_back(v);
+    arcs += g.out_degree(v) + g.in_degree(v);
   }
-  out_offsets_.reserve(owned_nodes_.size() + 1);
-  in_offsets_.reserve(owned_nodes_.size() + 1);
-  out_offsets_.push_back(0);
-  in_offsets_.push_back(0);
-  auto append = [](auto* column, auto span) {
-    column->insert(column->end(), span.begin(), span.end());
-  };
-  for (NodeId v : owned_nodes_) {
-    append(&out_targets_, g.out_targets(v));
-    append(&out_weights_, g.out_arc_weights(v));
-    append(&out_probs_, g.out_probs(v));
-    out_offsets_.push_back(out_targets_.size());
-    append(&in_sources_, g.in_sources(v));
-    append(&in_weights_, g.in_arc_weights(v));
-    append(&in_probs_, g.in_probs(v));
-    in_offsets_.push_back(in_sources_.size());
-  }
-  stored_bytes_ = owned_nodes_.size() * sizeof(NodeId) +
-                  (out_offsets_.size() + in_offsets_.size()) * sizeof(size_t) +
-                  (out_targets_.size() + in_sources_.size()) *
-                      (sizeof(NodeId) + 2 * sizeof(double));
+  stored_bytes_ =
+      owned_nodes_.size() * (sizeof(NodeId) + 2 * sizeof(size_t)) +
+      arcs * (sizeof(NodeId) + sizeof(double));
 }
 
 namespace {
@@ -66,11 +50,6 @@ std::unique_ptr<PendingFetch> GraphProcessor::Send(
     const std::vector<NodeId>& nodes) const {
   fetch_requests_.Add(1);
   auto served = std::make_unique<ServedFetch>();
-  // Owned nodes are the arithmetic progression id, id+num_gps, ...; the
-  // stripe-local index is therefore direct, no search needed.
-  auto local_index = [this](NodeId v) {
-    return (v - static_cast<NodeId>(id_)) / static_cast<NodeId>(num_gps_);
-  };
   for (NodeId v : nodes) {
     if (!Owns(v)) {
       served->status = Status::InvalidArgument(
@@ -78,7 +57,7 @@ std::unique_ptr<PendingFetch> GraphProcessor::Send(
           std::to_string(v));
       return served;
     }
-    if (local_index(v) >= owned_nodes_.size()) {
+    if (v >= graph_->num_nodes()) {
       served->status = Status::OutOfRange("node " + std::to_string(v) +
                                           " beyond GP " +
                                           std::to_string(id_) + "'s stripe");
@@ -86,22 +65,16 @@ std::unique_ptr<PendingFetch> GraphProcessor::Send(
     }
   }
   served->records.reserve(nodes.size());
+  auto copy = [](auto* column, auto span) {
+    column->assign(span.begin(), span.end());
+  };
   for (NodeId v : nodes) {
-    const size_t i = local_index(v);
     NodeRecord record;
     record.node = v;
-    record.out_targets.assign(out_targets_.begin() + out_offsets_[i],
-                              out_targets_.begin() + out_offsets_[i + 1]);
-    record.out_weights.assign(out_weights_.begin() + out_offsets_[i],
-                              out_weights_.begin() + out_offsets_[i + 1]);
-    record.out_probs.assign(out_probs_.begin() + out_offsets_[i],
-                            out_probs_.begin() + out_offsets_[i + 1]);
-    record.in_sources.assign(in_sources_.begin() + in_offsets_[i],
-                             in_sources_.begin() + in_offsets_[i + 1]);
-    record.in_weights.assign(in_weights_.begin() + in_offsets_[i],
-                             in_weights_.begin() + in_offsets_[i + 1]);
-    record.in_probs.assign(in_probs_.begin() + in_offsets_[i],
-                           in_probs_.begin() + in_offsets_[i + 1]);
+    copy(&record.out_targets, graph_->out_targets(v));
+    copy(&record.out_probs, graph_->out_probs(v));
+    copy(&record.in_sources, graph_->in_sources(v));
+    copy(&record.in_probs, graph_->in_probs(v));
     records_served_.Add(1);
     bytes_served_.Add(record.WireBytes());
     served->records.push_back(std::move(record));
@@ -184,10 +157,8 @@ Status ValidateRecord(const Graph& g, const NodeRecord& record) {
     return std::equal(got.begin(), got.end(), want.begin(), want.end());
   };
   bool ok = equal(record.out_targets, g.out_targets(record.node)) &&
-            equal(record.out_weights, g.out_arc_weights(record.node)) &&
             equal(record.out_probs, g.out_probs(record.node)) &&
             equal(record.in_sources, g.in_sources(record.node)) &&
-            equal(record.in_weights, g.in_arc_weights(record.node)) &&
             equal(record.in_probs, g.in_probs(record.node));
   if (!ok) {
     return Status::Internal("GP record for node " +

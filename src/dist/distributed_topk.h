@@ -11,9 +11,10 @@
 // the GP traffic per query are small and nearly independent of graph size.
 //
 // This in-process simulation keeps the data movement honest: each
-// GraphProcessor holds a real copy of its stripe's adjacency, the AP
-// assembles the active set exclusively out of GP responses, and the returned
-// byte/request counts are measured from those responses, not estimated.
+// GraphProcessor serves its stripe's rows out of the shared (possibly
+// mapped) graph without copying them, the AP assembles the active set
+// exclusively out of GP responses, and the returned byte/request counts are
+// measured from those responses, not estimated.
 
 #include <atomic>
 #include <cstddef>
@@ -31,16 +32,15 @@
 namespace rtr::dist {
 
 // One node's shard record as served by a GP: the node id plus copies of its
-// incident arc columns (the unit of transfer of Sect. V-B2). Columnar like
-// the Graph itself: entries at one index across a direction's vectors
-// describe the same arc.
+// incident arc columns (the unit of transfer of Sect. V-B2). Only the
+// endpoint and transition-probability columns travel: 2SBound and BCA read
+// nothing else. Columnar like the Graph itself: entries at one index across
+// a direction's vectors describe the same arc.
 struct NodeRecord {
   NodeId node = kInvalidNode;
   std::vector<NodeId> out_targets;
-  std::vector<double> out_weights;
   std::vector<double> out_probs;
   std::vector<NodeId> in_sources;
-  std::vector<double> in_weights;
   std::vector<double> in_probs;
 
   size_t num_out_arcs() const { return out_targets.size(); }
@@ -160,8 +160,8 @@ class ShardCounter {
 };
 
 // A graph processor owning one stripe of the node set (node v belongs to GP
-// v mod num_gps). Stores the owned nodes' full adjacency in CSR form and
-// serves batched record fetches.
+// v mod num_gps). A view: it serves batched record fetches straight from
+// the owned rows of the shared graph, so building one copies no adjacency.
 //
 // Thread safety: immutable after construction except the traffic counters;
 // Send/Fetch and the accessors are const and may be called concurrently (the
@@ -169,12 +169,15 @@ class ShardCounter {
 // cluster).
 class GraphProcessor : public RecordSource {
  public:
-  // Builds the stripe of `g` owned by processor `id` out of `num_gps`.
+  // The stripe of `g` owned by processor `id` out of `num_gps`. `g` must
+  // outlive the processor (Cluster and net::GpServer hold it by shared_ptr).
   GraphProcessor(const Graph& g, int id, int num_gps);
 
   int id() const { return id_; }
   size_t num_owned_nodes() const { return owned_nodes_.size(); }
-  // Resident size of this stripe's storage, the per-GP series of Fig. 12.
+  // Size of the graph columns this stripe serves (owned ids, both offset
+  // arrays, and the endpoint and probability columns of the owned rows):
+  // the per-GP series of Fig. 12.
   size_t stored_bytes() const { return stored_bytes_; }
   // Owned node ids, ascending.
   const std::vector<NodeId>& owned_nodes() const { return owned_nodes_; }
@@ -196,19 +199,10 @@ class GraphProcessor : public RecordSource {
   uint64_t bytes_served() const override { return bytes_served_.value(); }
 
  private:
+  const Graph* graph_ = nullptr;
   int id_ = 0;
   int num_gps_ = 1;
-  std::vector<NodeId> owned_nodes_;       // ascending
-  // Stripe-local columnar CSR, mirroring the Graph layout (one offsets
-  // array + three parallel columns per direction).
-  std::vector<size_t> out_offsets_;       // size owned_nodes_.size()+1
-  std::vector<NodeId> out_targets_;
-  std::vector<double> out_weights_;
-  std::vector<double> out_probs_;
-  std::vector<size_t> in_offsets_;        // size owned_nodes_.size()+1
-  std::vector<NodeId> in_sources_;
-  std::vector<double> in_weights_;
-  std::vector<double> in_probs_;
+  std::vector<NodeId> owned_nodes_;  // ascending
   size_t stored_bytes_ = 0;
   // Served-traffic counters; mutable because Fetch is logically const.
   mutable ShardCounter fetch_requests_;

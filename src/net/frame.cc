@@ -161,10 +161,8 @@ void EncodeFetchReply(std::span<const dist::NodeRecord> records,
     Append<uint32_t>(out, static_cast<uint32_t>(record.num_out_arcs()));
     Append<uint32_t>(out, static_cast<uint32_t>(record.num_in_arcs()));
     AppendArray(out, record.out_targets.data(), record.out_targets.size());
-    AppendArray(out, record.out_weights.data(), record.out_weights.size());
     AppendArray(out, record.out_probs.data(), record.out_probs.size());
     AppendArray(out, record.in_sources.data(), record.in_sources.size());
-    AppendArray(out, record.in_weights.data(), record.in_weights.size());
     AppendArray(out, record.in_probs.data(), record.in_probs.size());
   }
 }
@@ -182,10 +180,8 @@ Status DecodeFetchReply(std::span<const uint8_t> payload,
     if (!reader.Read(&record.node) || !reader.Read(&n_out) ||
         !reader.Read(&n_in) ||
         !reader.ReadArray(&record.out_targets, n_out) ||
-        !reader.ReadArray(&record.out_weights, n_out) ||
         !reader.ReadArray(&record.out_probs, n_out) ||
         !reader.ReadArray(&record.in_sources, n_in) ||
-        !reader.ReadArray(&record.in_weights, n_in) ||
         !reader.ReadArray(&record.in_probs, n_in)) {
       return Truncated("fetch reply");
     }

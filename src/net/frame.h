@@ -16,8 +16,9 @@
 // never written: WriteFrame refuses it with kOutOfRange (net/transport.h).
 //
 // Protocol version 2 introduced the word-wise checksum (version 1 hashed
-// byte by byte). A frame of any other version is rejected as corrupt, so an
-// AP and a GP on different versions refuse each other at the handshake.
+// byte by byte); version 3 dropped the arc-weight columns from fetch
+// replies. A frame of any other version is rejected as corrupt, so an AP and
+// a GP on different versions refuse each other at the handshake.
 //
 //   offset  size  field
 //        0     4  magic "RTRF"
@@ -37,9 +38,8 @@
 //   kHelloAck    HelloPayload — the server's actual shard identity.
 //   kFetch       u32 count, count * u32 node ids.
 //   kFetchReply  u32 count, then per record: u32 node, u32 n_out, u32 n_in,
-//                u32 out_targets[n_out], f64 out_weights[n_out],
-//                f64 out_probs[n_out], u32 in_sources[n_in],
-//                f64 in_weights[n_in], f64 in_probs[n_in].
+//                u32 out_targets[n_out], f64 out_probs[n_out],
+//                u32 in_sources[n_in], f64 in_probs[n_in].
 //   kErrorReply  u32 status code, u32 length, message bytes.
 
 #include <cstddef>
@@ -54,7 +54,7 @@
 namespace rtr::net {
 
 inline constexpr uint32_t kFrameMagic = 0x46525452;  // "RTRF"
-inline constexpr uint8_t kProtocolVersion = 2;
+inline constexpr uint8_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 32;
 // Hard cap on a single frame's payload: a header announcing more is treated
 // as corrupt (it would otherwise make a reader allocate unboundedly), and

@@ -3,15 +3,15 @@
 
 // Network listener serving one GraphProcessor shard (DESIGN.md §12).
 //
-// A GpServer owns the stripe storage (dist::GraphProcessor) for shard
-// `shard` of `num_gps` and answers the frame protocol on a TCP port: kHello
-// is acked with the server's actual identity (the client compares and
-// refuses to proceed on mismatch), kFetch batches are answered with
-// kFetchReply or — when the shard-level Fetch fails, or the reply would
-// exceed the frame cap (kOutOfRange) — a kErrorReply carrying the typed
-// Status across the wire. One handler thread per
-// accepted connection; requests on a connection are served in order, and
-// independent AP connections proceed in parallel.
+// A GpServer holds the shared graph and the stripe view over it
+// (dist::GraphProcessor) for shard `shard` of `num_gps` and answers the
+// frame protocol on a TCP port: kHello is acked with the server's actual
+// identity (the client compares and refuses to proceed on mismatch), kFetch
+// batches are answered with kFetchReply or — when the shard-level Fetch
+// fails, or the reply would exceed the frame cap (kOutOfRange) — a
+// kErrorReply carrying the typed Status across the wire. One handler thread
+// per accepted connection; requests on a connection are served in order,
+// and independent AP connections proceed in parallel.
 //
 // The options' FaultInjector (tests only) wraps each accepted connection in
 // a net::FaultyTransport so tests/net/fault_test.cc can script delays,
@@ -48,7 +48,7 @@ struct GpServerOptions {
 
 class GpServer {
  public:
-  // Builds the shard stripe and starts listening + accepting.
+  // Sets up the shard's stripe view and starts listening + accepting.
   static StatusOr<std::unique_ptr<GpServer>> Start(
       std::shared_ptr<const Graph> graph, int shard, int num_gps,
       uint64_t generation, GpServerOptions options = {});

@@ -512,12 +512,12 @@ PinnedGraph QueryService::PinForQuery(
   // Serve from a cluster striped off the store's current generation (a
   // fixed cluster's store never advances, so it never restripes). The
   // first worker to pin a new generation restripes while holding
-  // cluster_mu_ (an O(graph) rebuild — later generations' queries
-  // briefly queue on the mutex, while queries already holding the retired
-  // cluster's shared_ptr keep draining untouched). If another worker
-  // already striped a generation NEWER than our pin, serve from that: a
-  // query must never run on a cluster older than the generation key it
-  // caches under.
+  // cluster_mu_ (it lists each stripe's owned nodes and copies no
+  // adjacency — later generations' queries briefly queue on the mutex,
+  // while queries already holding the retired cluster's shared_ptr keep
+  // draining untouched). If another worker already striped a generation
+  // NEWER than our pin, serve from that: a query must never run on a
+  // cluster older than the generation key it caches under.
   PinnedGraph pinned = store_->Pin();
   std::lock_guard<std::mutex> lock(cluster_mu_);
   if (cluster_->generation() < pinned.generation) {

@@ -1,5 +1,7 @@
 #include "core/two_stage.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "datasets/bibnet.h"
@@ -139,6 +141,52 @@ TEST_P(BounderSandwich, BibNetBoundsSandwichTruthAfterEveryRefine) {
           << "query " << q << " round " << round << " node " << v;
     }
   }
+}
+
+// A directed cycle 0 -> 1 -> ... -> len-1 -> 0. From query 0 the whole
+// F-Rank mass drains along the chain, and with one BCA pick per expansion
+// the chain's tail stays unseen while the query (its out-neighbour) is seen.
+// Once only the last node is unseen, its true F-Rank is over 40% of the
+// Prop. 4 unseen bound, where on the random graphs above an unseen node's
+// F-Rank is a small fraction of it: an F sweep that under-weights the
+// unseen term (say by 0.2) puts the query's upper bound below its F-Rank.
+Graph DrainChain(size_t len) {
+  GraphBuilder b;
+  b.AddNodes(len);
+  for (NodeId v = 0; v < len; ++v) {
+    b.AddDirectedEdge(v, static_cast<NodeId>((v + 1) % len), 1.0);
+  }
+  return b.Build().value();
+}
+
+TEST_P(BounderSandwich, FRankUpperHoldsWhileTheChainTailIsUnseen) {
+  const Graph g = DrainChain(6 + GetParam() % 10);
+  ranking::WalkParams params;
+  params.alpha = 0.25;
+  const std::vector<double> f = ranking::FRank(g, {0}, params);
+
+  FBounderOptions options;
+  options.pick_per_expansion = 1;
+  FRankBounder bounder(g, {0}, options);
+  // Largest F(u) / unseen bound over unseen in-neighbours u of seen nodes:
+  // shows the graph puts an unseen node's F-Rank close to the bound.
+  double tightest = 0.0;
+  for (int round = 0; round < 40; ++round) {
+    if (!bounder.ExpandAndRefine()) break;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_LE(bounder.Lower(v), f[v] + 1e-10)
+          << "round " << round << " node " << v;
+      ASSERT_GE(bounder.Upper(v), f[v] - 1e-10)
+          << "round " << round << " node " << v;
+      if (!bounder.IsSeen(v) || bounder.UnseenUpper() <= 0.0) continue;
+      for (NodeId u : g.in_sources(v)) {
+        if (!bounder.IsSeen(u)) {
+          tightest = std::max(tightest, f[u] / bounder.UnseenUpper());
+        }
+      }
+    }
+  }
+  EXPECT_GT(tightest, 0.4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BounderSandwich,

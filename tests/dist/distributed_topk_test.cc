@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,48 @@ TEST(GraphProcessorTest, MixedBatchFailsWithoutPartialOutput) {
   status = gp0.Fetch({0, static_cast<NodeId>(g.num_nodes() + 10)}, &records);
   EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
   EXPECT_EQ(records.size(), 1u);
+}
+
+// GPs are views over one shared graph: several threads fetching from every
+// stripe at once read the same rows (CI runs this suite under TSan).
+TEST(GraphProcessorTest, ConcurrentFetchesServeTheSharedRows) {
+  Graph g = SmallRandomishGraph();
+  dist::Cluster cluster(NoCopy(g), 3);
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  auto same = [](const auto& got, auto want) {
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+  };
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const dist::GraphProcessor& gp : cluster.gps()) {
+        std::vector<dist::NodeRecord> records;
+        if (!gp.Fetch(gp.owned_nodes(), &records).ok()) {
+          ++mismatches[t];
+          continue;
+        }
+        for (const dist::NodeRecord& r : records) {
+          if (!same(r.out_targets, g.out_targets(r.node)) ||
+              !same(r.out_probs, g.out_probs(r.node)) ||
+              !same(r.in_sources, g.in_sources(r.node)) ||
+              !same(r.in_probs, g.in_probs(r.node))) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+  EXPECT_EQ(cluster.total_records_served(), kThreads * g.num_nodes());
+  EXPECT_EQ(cluster.total_fetch_requests(),
+            static_cast<uint64_t>(kThreads * cluster.num_gps()));
+  // Each record is its node id and bounds plus one endpoint and one
+  // transition probability per incident arc.
+  EXPECT_EQ(cluster.total_bytes_served(),
+            kThreads * (g.num_nodes() * core::kActiveNodeRecordBytes +
+                        2 * g.num_arcs() * (sizeof(NodeId) + sizeof(double))));
 }
 
 TEST(DistributedTopKTest, SingleGpDegeneratesToLocal) {

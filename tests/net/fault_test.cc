@@ -89,10 +89,8 @@ class RpcFaultTest : public ::testing::Test {
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].node, want[i].node);
       EXPECT_EQ(got[i].out_targets, want[i].out_targets);
-      EXPECT_EQ(got[i].out_weights, want[i].out_weights);
       EXPECT_EQ(got[i].out_probs, want[i].out_probs);
       EXPECT_EQ(got[i].in_sources, want[i].in_sources);
-      EXPECT_EQ(got[i].in_weights, want[i].in_weights);
       EXPECT_EQ(got[i].in_probs, want[i].in_probs);
     }
   }

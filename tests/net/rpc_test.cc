@@ -1,6 +1,6 @@
 // RPC layer happy paths: frame codec, listener + client round-trips,
 // shard-identity handshake, and multiplexed concurrent fetches. Every suite
-// name matches the CI TSan filter (Rpc|Transport|RemoteGraphProcessor) so
+// name matches the CI TSan filter (Rpc|Transport|GraphProcessor) so
 // the concurrency in here runs under TSan too. The scripted failure paths
 // live in tests/net/fault_test.cc.
 
@@ -143,11 +143,15 @@ TEST(TransportFrameTest, OldProtocolVersionIsRejected) {
   std::vector<uint8_t> frame;
   net::EncodeFrame(net::FrameType::kHello, 0, payload, &frame);
   ASSERT_EQ(frame[4], net::kProtocolVersion);
-  // Version 1 frames carry a byte-wise checksum this reader cannot verify.
-  frame[4] = 1;
-  net::FrameHeader header;
-  EXPECT_EQ(net::DecodeFrameHeader(frame.data(), &header).code(),
-            StatusCode::kIoError);
+  // Version 1 frames carry a byte-wise checksum this reader cannot verify;
+  // version 2 fetch replies carry arc-weight columns it would misparse.
+  for (uint8_t retired : {1, 2}) {
+    frame[4] = retired;
+    net::FrameHeader header;
+    EXPECT_EQ(net::DecodeFrameHeader(frame.data(), &header).code(),
+              StatusCode::kIoError)
+        << "version " << int{retired};
+  }
 }
 
 // Records every WriteAll; reads report a closed peer.
@@ -211,10 +215,8 @@ TEST(TransportFrameTest, FetchReplyCodecRoundTrip) {
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(decoded[i].node, records[i].node);
     EXPECT_EQ(decoded[i].out_targets, records[i].out_targets);
-    EXPECT_EQ(decoded[i].out_weights, records[i].out_weights);
     EXPECT_EQ(decoded[i].out_probs, records[i].out_probs);
     EXPECT_EQ(decoded[i].in_sources, records[i].in_sources);
-    EXPECT_EQ(decoded[i].in_weights, records[i].in_weights);
     EXPECT_EQ(decoded[i].in_probs, records[i].in_probs);
   }
 
@@ -269,10 +271,8 @@ TEST(RemoteGraphProcessorTest, FetchMatchesLocalBitForBit) {
   for (size_t i = 0; i < local_records.size(); ++i) {
     EXPECT_EQ(remote_records[i].node, local_records[i].node);
     EXPECT_EQ(remote_records[i].out_targets, local_records[i].out_targets);
-    EXPECT_EQ(remote_records[i].out_weights, local_records[i].out_weights);
     EXPECT_EQ(remote_records[i].out_probs, local_records[i].out_probs);
     EXPECT_EQ(remote_records[i].in_sources, local_records[i].in_sources);
-    EXPECT_EQ(remote_records[i].in_weights, local_records[i].in_weights);
     EXPECT_EQ(remote_records[i].in_probs, local_records[i].in_probs);
   }
   // Record-level accounting matches the loopback tier; wire-level traffic
@@ -326,23 +326,48 @@ TEST(RemoteGraphProcessorTest, OldProtocolPeerIsRefusedAtHandshake) {
   auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
   auto server = net::GpServer::Start(graph, 0, 1, 0);
   ASSERT_TRUE(server.ok());
-  auto transport = net::ConnectTo("127.0.0.1", (*server)->port(), 1000);
-  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  for (uint8_t retired : {1, 2}) {
+    auto transport = net::ConnectTo("127.0.0.1", (*server)->port(), 1000);
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
 
-  // A version-1 peer's hello: well formed except for the version byte.
-  std::vector<uint8_t> hello;
-  net::EncodeHello(IdentityFor(*graph, 0, 1, 0), &hello);
-  std::vector<uint8_t> frame;
-  net::EncodeFrame(net::FrameType::kHello, 0, hello, &frame);
-  frame[4] = 1;
-  ASSERT_TRUE((*transport)->WriteAll(frame, 1000).ok());
+    // A retired peer's hello: well formed except for the version byte.
+    std::vector<uint8_t> hello;
+    net::EncodeHello(IdentityFor(*graph, 0, 1, 0), &hello);
+    std::vector<uint8_t> frame;
+    net::EncodeFrame(net::FrameType::kHello, 0, hello, &frame);
+    frame[4] = retired;
+    ASSERT_TRUE((*transport)->WriteAll(frame, 1000).ok());
 
-  // The server drops the connection instead of acking.
-  net::FrameHeader header;
-  std::vector<uint8_t> reply;
-  Status read = net::ReadFrame(**transport, 2000, 2000, &header, &reply);
-  EXPECT_FALSE(read.ok());
-  EXPECT_NE(read.code(), StatusCode::kDeadlineExceeded) << read.ToString();
+    // The server drops the connection instead of acking, which the peer
+    // reads as a closed (kUnavailable) or reset (kIoError) stream, never as
+    // a stall.
+    net::FrameHeader header;
+    std::vector<uint8_t> reply;
+    Status read = net::ReadFrame(**transport, 2000, 2000, &header, &reply);
+    EXPECT_TRUE(read.code() == StatusCode::kUnavailable ||
+                read.code() == StatusCode::kIoError)
+        << "version " << int{retired} << ": " << read.ToString();
+  }
+
+  // The refused peers did not take the server down: a current client
+  // handshakes and fetches records identical to the loopback stripe's.
+  net::RemoteGraphProcessor remote("127.0.0.1", (*server)->port(),
+                                   IdentityFor(*graph, 0, 1, 0));
+  ASSERT_TRUE(remote.Connect().ok());
+  const std::vector<NodeId> wanted = {0, 7, 13};
+  std::vector<dist::NodeRecord> got;
+  ASSERT_TRUE(remote.Fetch(wanted, &got).ok());
+  dist::GraphProcessor local(*graph, 0, 1);
+  std::vector<dist::NodeRecord> want;
+  ASSERT_TRUE(local.Fetch(wanted, &want).ok());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node);
+    EXPECT_EQ(got[i].out_targets, want[i].out_targets);
+    EXPECT_EQ(got[i].out_probs, want[i].out_probs);
+    EXPECT_EQ(got[i].in_sources, want[i].in_sources);
+    EXPECT_EQ(got[i].in_probs, want[i].in_probs);
+  }
 }
 
 TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
